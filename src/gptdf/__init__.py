@@ -13,7 +13,6 @@ from .gp_core import (
     GPModel,
     Matern52,
     PredictiveDistribution,
-    SquaredExponential,
     TemporalFeature,
     TimeSeries,
     build_covariance,
@@ -26,7 +25,6 @@ from .gp_core import (
 )
 from .data_io import (
     NormalizationStats,
-    denormalize,
     generate_synthetic,
     load_csv,
     normalize,

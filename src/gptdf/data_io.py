@@ -17,7 +17,6 @@ __all__ = [
     "PreparedStream",
     "load_csv",
     "normalize",
-    "denormalize",
     "prepare_stream",
     "generate_synthetic",
     "resolve_data_spec",
@@ -137,10 +136,6 @@ def normalize(data):
         raise DataError("zero variance: cannot normalize a constant series")
     stats = NormalizationStats(mean, std)
     return TimeSeries(data.timestamps, stats.apply(data.values)), stats
-
-
-def denormalize(data, stats):
-    return TimeSeries(data.timestamps, stats.invert(data.values))
 
 
 @dataclass(frozen=True)

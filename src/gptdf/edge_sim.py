@@ -6,8 +6,9 @@ features, and runs the online fusion loop over its own stream.
 Only the three feature parameters (plus a small envelope) ever cross the
 wire, so per-node traffic is constant in the local dataset size and raw
 observations never leave their node. Messages are line-delimited JSON with
-fixed field names; the default channel is in-process, and a loopback-socket
-transport speaks the same message contract.
+fixed field names. Every request line, whether handed over in process or
+sent over a loopback socket, is answered by the one `handle` function, so
+both transports validate and reply alike.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "CloudRegistry",
     "InProcessChannel",
     "SocketChannel",
+    "handle",
     "serve_registry",
     "NodeSpec",
     "Scenario",
@@ -100,7 +102,7 @@ class FeatureQuery:
     def to_message(self):
         msg = {"type": "query", "source_id": self.requester_id}
         if self.limit is not None:
-            msg["limit"] = int(self.limit)
+            msg["limit"] = self.limit
         return msg
 
 
@@ -123,8 +125,11 @@ def encode_message(msg):
 
 
 def decode_message(line):
-    msg = json.loads(line)
-    if msg.get("type") not in MESSAGE_TYPES:
+    try:
+        msg = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"malformed message {line!r}: {exc}") from exc
+    if not isinstance(msg, dict) or msg.get("type") not in MESSAGE_TYPES:
         raise ConfigError(f"unknown message type in {line!r}")
     return msg
 
@@ -182,41 +187,67 @@ class CloudRegistry:
         with self._lock:
             return tuple(self._records)
 
-    def dump(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            for record in self.snapshot():
-                fh.write(encode_message(record.to_message()) + "\n")
+
+def _status(accepted, reason=""):
+    msg = {"type": "response", "status": "ok" if accepted else "rejected"}
+    if reason:
+        msg["reason"] = reason
+    return [encode_message(msg)]
 
 
-class InProcessChannel:
-    """Default transport: direct registry calls, but every message is still
-    serialized to its wire line so traffic can be audited and counted."""
+def handle(registry, line):
+    """Serve one request line against the registry; return the reply lines.
 
-    def __init__(self, registry):
-        self.registry = registry
-        self.traffic = []  # (direction, node_id, line)
+    A report gets one status line. A query gets one line per matching
+    record, or one rejected status line when its `limit` is not a positive
+    integer. A line that is not a well-formed report or query is rejected
+    too, never raised: both transports answer every request through here.
+    """
+    try:
+        msg = decode_message(line)
+    except ConfigError as exc:
+        return _status(False, str(exc))
+    if msg["type"] == "report":
+        ack = registry.report(msg)
+        return _status(ack.accepted, ack.reason)
+    if msg["type"] != "query" or "source_id" not in msg:
+        return _status(False, f"not a report or query: {line!r}")
+    limit = msg.get("limit")
+    if limit is not None and (type(limit) is not int or limit < 1):
+        return _status(False, f"limit must be a positive integer, got {limit!r}")
+    records = registry.query(FeatureQuery(str(msg["source_id"]), limit)).records
+    return [encode_message({**r.to_message(), "type": "response"}) for r in records]
 
-    def _record(self, direction, node_id, msg):
-        self.traffic.append((direction, node_id, encode_message(msg)))
+
+class _Channel:
+    """Client side of a registry transport. Every request and reply crosses
+    as its wire line and is kept in `traffic` as (direction, node_id, line),
+    so traffic can be audited and counted; subclasses only decide how a
+    request line reaches `handle`."""
+
+    def __init__(self):
+        self.traffic = []
+
+    def _exchange(self, node_id, msg):
+        line = encode_message(msg)
+        self.traffic.append(("up", node_id, line))
+        replies = []
+        for reply_line in self._send(line):
+            self.traffic.append(("down", node_id, reply_line))
+            replies.append(decode_message(reply_line))
+        return replies
 
     def report(self, record):
-        self._record("up", record.source_id, record.to_message())
-        ack = self.registry.report(record)
-        status = {"type": "response",
-                  "status": "ok" if ack.accepted else "rejected"}
-        if ack.reason:
-            status["reason"] = ack.reason
-        self._record("down", record.source_id, status)
-        return ack
+        replies = self._exchange(record.source_id, record.to_message())
+        if not replies:
+            return Ack(False, "no reply")
+        return Ack(replies[0].get("status") == "ok", replies[0].get("reason", ""))
 
     def query(self, query):
-        self._record("up", query.requester_id, query.to_message())
-        response = self.registry.query(query)
-        for record in response.records:
-            msg = record.to_message()
-            msg["type"] = "response"
-            self._record("down", query.requester_id, msg)
-        return response
+        replies = self._exchange(query.requester_id, query.to_message())
+        if replies and replies[0].get("status") == "rejected":
+            raise ConfigError(f"registry rejected query: {replies[0].get('reason', '')}")
+        return FeatureResponse(tuple(FeatureRecord.from_message(msg) for msg in replies))
 
     def bytes_by_node(self):
         """Total wire bytes attributed to each node (both directions)."""
@@ -226,30 +257,22 @@ class InProcessChannel:
         return totals
 
 
+class InProcessChannel(_Channel):
+    """Default transport: request lines are handed to `handle` directly."""
+
+    def __init__(self, registry):
+        super().__init__()
+        self.registry = registry
+
+    def _send(self, line):
+        return handle(self.registry, line)
+
+
 class _RegistryRequestHandler(socketserver.StreamRequestHandler):
     def handle(self):
-        line = self.rfile.readline().decode("utf-8").strip()
-        if not line:
-            return
-        try:
-            msg = decode_message(line)
-        except (json.JSONDecodeError, ConfigError) as exc:
-            self.wfile.write((encode_message(
-                {"type": "response", "status": "rejected", "reason": str(exc)}) + "\n").encode())
-            return
-        registry = self.server.registry
-        if msg["type"] == "report":
-            ack = registry.report(msg)
-            status = {"type": "response", "status": "ok" if ack.accepted else "rejected"}
-            if ack.reason:
-                status["reason"] = ack.reason
-            self.wfile.write((encode_message(status) + "\n").encode())
-        elif msg["type"] == "query":
-            query = FeatureQuery(str(msg["source_id"]), msg.get("limit"))
-            for record in registry.query(query).records:
-                out = record.to_message()
-                out["type"] = "response"
-                self.wfile.write((encode_message(out) + "\n").encode())
+        line = self.rfile.readline().decode("utf-8", errors="replace")
+        for reply in handle(self.server.registry, line):
+            self.wfile.write((reply + "\n").encode("utf-8"))
         # one request per connection; closing the socket ends the response
 
 
@@ -264,17 +287,15 @@ def serve_registry(registry, host="127.0.0.1", port=0):
     return server, thread, server.server_address
 
 
-class SocketChannel:
-    """Client side of the socket transport; same interface and traffic
-    accounting as the in-process channel."""
+class SocketChannel(_Channel):
+    """Socket transport: each request line travels to a `serve_registry`
+    server over its own connection."""
 
     def __init__(self, address):
+        super().__init__()
         self.address = address
-        self.traffic = []
 
-    def _exchange(self, node_id, msg):
-        line = encode_message(msg)
-        self.traffic.append(("up", node_id, line))
+    def _send(self, line):
         with socket.create_connection(self.address) as sock:
             sock.sendall((line + "\n").encode("utf-8"))
             sock.shutdown(socket.SHUT_WR)
@@ -284,23 +305,7 @@ class SocketChannel:
                 if not chunk:
                     break
                 raw += chunk
-        replies = []
-        for reply_line in raw.decode("utf-8").splitlines():
-            if reply_line.strip():
-                self.traffic.append(("down", node_id, reply_line))
-                replies.append(decode_message(reply_line))
-        return replies
-
-    def report(self, record):
-        replies = self._exchange(record.source_id, record.to_message())
-        status = replies[0] if replies else {"status": "rejected", "reason": "no reply"}
-        return Ack(status.get("status") == "ok", status.get("reason", ""))
-
-    def query(self, query):
-        replies = self._exchange(query.requester_id, query.to_message())
-        return FeatureResponse(tuple(FeatureRecord.from_message(msg) for msg in replies))
-
-    bytes_by_node = InProcessChannel.bytes_by_node
+        return [reply for reply in raw.decode("utf-8").splitlines() if reply.strip()]
 
 
 # ---------------------------------------------------------------------------
@@ -434,15 +439,7 @@ def run_edge_node(local_data, role, channel, node_id, fitted_at=0, fit_config=No
         state = fusion.ensemble_from_features(features, tau=tau, alpha=alpha)
         prepared = data_io.prepare_stream(local_data, normalization)
         step_records = fusion.run_stream(state, prepared.series)
-        metrics = {
-            "nll": evaluation.nll([r.prediction for r in step_records],
-                                  [r.truth for r in step_records]),
-            "mae": evaluation.mae([r.prediction.distribution.mean for r in step_records],
-                                  [r.truth for r in step_records]),
-            "mse": evaluation.mse([r.prediction.distribution.mean for r in step_records],
-                                  [r.truth for r in step_records]),
-            "delay": evaluation.delay(step_records, len(prepared.series)),
-        }
+        metrics = evaluation._metrics_from_records(step_records, len(prepared.series))
         return TargetReport(node_id=node_id, model_ids=model_ids, records=step_records,
                             metrics=metrics, final_weights=tuple(state.omega_hat),
                             used_fallback=used_fallback)

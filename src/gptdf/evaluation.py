@@ -14,7 +14,7 @@ import numpy as np
 
 from . import data_io, fusion, gp_core
 from .errors import ConfigError, DataError, GptdfError
-from .fusion import StepRecord, fuse_predictions, gaussian_log_density
+from .fusion import gaussian_log_density
 from .gp_core import FitConfig, TemporalFeature
 
 __all__ = [
@@ -93,8 +93,8 @@ def _metrics_from_records(records, stream_length):
 
 def run_baseline_gp(stream, train_size, tau=fusion.DEFAULT_TAU, fit_config=None):
     """Train-then-predict baseline: fit the feature triple on the first
-    `train_size` points, then predict the remaining steps one at a time from
-    a sliding window of the most recent `tau` observations.
+    `train_size` points, then run the online loop with that one expert over
+    the remaining steps, its window seeded with the last `tau` prefix points.
 
     Returns (records, metrics). The first `train_size` steps have no
     prediction, so the delay equals `train_size` by construction.
@@ -107,23 +107,12 @@ def run_baseline_gp(stream, train_size, tau=fusion.DEFAULT_TAU, fit_config=None)
     if train_size >= n:
         raise DataError(f"training size {train_size} must be smaller than the stream ({n})")
     feature = gp_core.fit_hyperparameters(stream.head(train_size), fit_config)
-    model = feature.to_model()
-
-    window_t = list(stream.timestamps[:train_size][-tau:])
-    window_y = list(stream.values[:train_size][-tau:])
-    records = []
-    for k in range(train_size, n):
-        t = float(stream.timestamps[k])
-        y = float(stream.values[k])
-        window = gp_core.TimeSeries(np.array(window_t), np.array(window_y))
-        pred = gp_core.predict(model, window, t)
-        records.append(StepRecord(step=k, t=t, truth=y,
-                                  prediction=fuse_predictions([pred], [1.0])))
-        window_t.append(t)
-        window_y.append(y)
-        if len(window_t) > tau:
-            window_t.pop(0)
-            window_y.pop(0)
+    state = fusion.ensemble_from_features([feature], tau=tau)
+    state.window_times.extend(stream.timestamps[:train_size].tolist())
+    state.window_values.extend(stream.values[:train_size].tolist())
+    state.step = train_size
+    tail = gp_core.TimeSeries(stream.timestamps[train_size:], stream.values[train_size:])
+    records = fusion.run_stream(state, tail)
     return records, _metrics_from_records(records, n)
 
 

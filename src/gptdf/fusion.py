@@ -243,12 +243,9 @@ def gptdf_step(state, new_obs):
         raise ValueError(
             f"observation timestamp {t} does not increase past {state.window_times[-1]}")
 
-    window = state.window_series()
-    preds = [gp_core.predict(m, window, t) for m in state.models]
-    fused = fuse_predictions(preds, state.omega_hat)
-
-    if window is not None:
-        likelihoods = np.array([gaussian_predictive_density(p, y) for p in preds])
+    fused = fused_prediction(state, t)
+    if state.window_times:
+        likelihoods = np.array([gaussian_predictive_density(p, y) for p, _ in fused.per_model])
         state.weights = update_weights(state.omega_hat, likelihoods)
     state.omega_hat = predictive_weights(state.weights, state.alpha)
     state.window_times.append(t)
@@ -270,14 +267,14 @@ class StepRecord:
 
 def run_stream(state, series):
     """Run the online loop over a whole series, emitting one record per
-    observation. The first record's prediction is the prior fusion, so no
-    warm-up prefix goes unpredicted."""
+    observation. Records are numbered from `state.step`, so a fresh state's
+    first record is step 0, whose prediction is the prior fusion: no warm-up
+    prefix goes unpredicted."""
     records = []
-    for k in range(len(series)):
-        t = float(series.timestamps[k])
-        y = float(series.values[k])
+    for t, y in zip(series.timestamps.tolist(), series.values.tolist()):
+        step = state.step
         fused, state = gptdf_step(state, (t, y))
-        records.append(StepRecord(step=k, t=t, truth=y, prediction=fused))
+        records.append(StepRecord(step=step, t=t, truth=y, prediction=fused))
     return records
 
 

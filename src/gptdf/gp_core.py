@@ -1,4 +1,4 @@
-"""Gaussian-process core: kernels, covariance construction, exact prediction,
+"""Gaussian-process core: the Matern-5/2 kernel, covariance construction, exact prediction,
 marginal likelihood, hyperparameter fitting, and prior sampling.
 
 Inputs are scalar times. All covariance factorizations go through a single
@@ -20,7 +20,6 @@ from .errors import DataError, NumericalError
 
 __all__ = [
     "TimeSeries",
-    "SquaredExponential",
     "Matern52",
     "GPModel",
     "TemporalFeature",
@@ -101,18 +100,6 @@ class TimeSeries:
 
 
 @dataclass(frozen=True)
-class SquaredExponential:
-    """k(t, t') = output_scale**2 * exp(-((t - t') / input_scale)**2)."""
-
-    output_scale: float
-    input_scale: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "output_scale", _check_scale("output_scale", self.output_scale))
-        object.__setattr__(self, "input_scale", _check_scale("input_scale", self.input_scale))
-
-
-@dataclass(frozen=True)
 class Matern52:
     """Matern kernel with smoothness 5/2:
 
@@ -129,14 +116,9 @@ class Matern52:
 
 
 def _kernel_values(kernel, r):
-    """Kernel evaluated at nonnegative distances `r` (scalar or array)."""
-    if isinstance(kernel, SquaredExponential):
-        q = (r / kernel.input_scale) ** 2
-        return kernel.output_scale ** 2 * np.exp(-q)
-    if isinstance(kernel, Matern52):
-        a = SQRT5 * r / kernel.length_scale
-        return kernel.output_scale ** 2 * (1.0 + a + a * a / 3.0) * np.exp(-a)
-    raise TypeError(f"unsupported kernel: {kernel!r}")
+    """Matern-5/2 kernel evaluated at nonnegative distances `r` (scalar or array)."""
+    a = SQRT5 * r / kernel.length_scale
+    return kernel.output_scale ** 2 * (1.0 + a + a * a / 3.0) * np.exp(-a)
 
 
 def eval_kernel(kernel, t_i, t_j):

@@ -18,6 +18,7 @@ from gptdf.edge_sim import (
     NodeSpec,
     Scenario,
     SocketChannel,
+    handle,
     run_edge_node,
     run_simulation,
     serve_registry,
@@ -135,6 +136,13 @@ class TestMessages:
     def test_n_points_floor(self):
         with pytest.raises(ValueError):
             record(n_points=7)
+
+    @pytest.mark.parametrize("line", ["", "not json", "[]", "5", '{"type": "response"}',
+                                      '{"type": "query"}'])
+    def test_malformed_request_gets_one_rejected_line(self, line):
+        replies = handle(CloudRegistry(), line)
+        assert len(replies) == 1
+        assert json.loads(replies[0])["status"] == "rejected"
 
 
 class TestNodeDrivers:
@@ -372,6 +380,32 @@ class TestSocketTransport:
             server.shutdown()
             server.server_close()
 
+    @pytest.mark.parametrize("bad", ["abc", 0, -1, True])
+    def test_bad_limit_rejected_over_both_channels(self, bad):
+        registry = CloudRegistry()
+        registry.report(record())
+        line = json.dumps({"type": "query", "source_id": "target", "limit": bad})
+        server, thread, address = serve_registry(registry)
+        try:
+            import socket as socket_mod
+
+            with socket_mod.create_connection(address) as sock:
+                sock.sendall((line + "\n").encode())
+                sock.shutdown(socket_mod.SHUT_WR)
+                with sock.makefile() as fh:
+                    replies = fh.read().splitlines()
+            for channel in (InProcessChannel(registry), SocketChannel(address)):
+                with pytest.raises(ConfigError, match="limit must be a positive integer"):
+                    channel.query(FeatureQuery("target", bad))
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert replies == handle(registry, line)
+        assert len(replies) == 1
+        reply = json.loads(replies[0])
+        assert reply["status"] == "rejected"
+        assert "limit" in reply["reason"]
+
     def test_concurrent_socket_clients(self):
         registry = CloudRegistry()
         server, thread, address = serve_registry(registry)
@@ -410,3 +444,5 @@ class TestSocketTransport:
         assert result.ok
         for ra, rb in zip(result.target_report.records, baseline.target_report.records):
             assert ra.prediction.distribution == rb.prediction.distribution
+        assert result.traffic == baseline.traffic
+        assert result.bytes_by_node == baseline.bytes_by_node

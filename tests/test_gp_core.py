@@ -18,7 +18,6 @@ from gptdf.gp_core import (
     FitConfig,
     GPModel,
     Matern52,
-    SquaredExponential,
     TemporalFeature,
     TimeSeries,
     build_covariance,
@@ -46,12 +45,7 @@ def matern52_closed_form(sigma_f, sigma_l, r):
     return sigma_f ** 2 * (1.0 + a + a * a / 3.0) * math.exp(-a)
 
 
-kernels = st.one_of(
-    st.builds(Matern52,
-              st.floats(0.1, 3.0), st.floats(0.1, 10.0)),
-    st.builds(SquaredExponential,
-              st.floats(0.1, 3.0), st.floats(0.1, 10.0)),
-)
+kernels = st.builds(Matern52, st.floats(0.1, 3.0), st.floats(0.1, 10.0))
 
 
 class TestKernels:
@@ -59,19 +53,9 @@ class TestKernels:
         assert eval_kernel(Matern52(1.0, 1.0), 3.7, 3.7) == pytest.approx(1.0)
         assert eval_kernel(Matern52(2.5, 0.3), 0.0, 0.0) == pytest.approx(2.5 ** 2)
 
-    def test_squared_exponential_zero_distance(self):
-        assert eval_kernel(SquaredExponential(2.0, 1.0), 1.0, 1.0) == pytest.approx(4.0)
-
     def test_matern_unit_distance_closed_form(self):
         expected = (1.0 + math.sqrt(5.0) + 5.0 / 3.0) * math.exp(-math.sqrt(5.0))
         assert eval_kernel(Matern52(1.0, 1.0), 0.0, 1.0) == pytest.approx(expected, abs=1e-14)
-
-    def test_squared_exponential_closed_form(self):
-        # h^2 * exp(-((dt)/lambda)^2), no factor of two in the exponent
-        assert eval_kernel(SquaredExponential(1.0, 2.0), 0.0, 1.0) == \
-            pytest.approx(math.exp(-0.25), abs=1e-14)
-        assert eval_kernel(SquaredExponential(1.5, 0.5), 2.0, 3.0) == \
-            pytest.approx(1.5 ** 2 * math.exp(-4.0), abs=1e-14)
 
     @settings(max_examples=60, deadline=None)
     @given(kernel=kernels, a=st.floats(-50, 50), b=st.floats(-50, 50))
@@ -81,7 +65,7 @@ class TestKernels:
         assert left == right
         assert 0.0 <= left <= kernel.output_scale ** 2 + 1e-15
         # strictly positive wherever the exponential is representable
-        if abs(a - b) < 10.0 * getattr(kernel, "length_scale", getattr(kernel, "input_scale", 1.0)):
+        if abs(a - b) < 10.0 * kernel.length_scale:
             assert left > 0.0
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
@@ -89,7 +73,7 @@ class TestKernels:
         with pytest.raises(ValueError):
             Matern52(bad, 1.0)
         with pytest.raises(ValueError):
-            SquaredExponential(1.0, bad)
+            Matern52(1.0, bad)
 
 
 class TestCovariance:
@@ -251,7 +235,7 @@ class TestPredict:
         before = gp_core.diagnostics["variance_clamps"]
         # near-duplicate inputs with zero noise push the variance negative
         t = np.array([0.0, 1e-7, 1.0])
-        model = GPModel(SquaredExponential(1.0, 5.0), noise_std=0.0)
+        model = GPModel(Matern52(1.0, 5.0), noise_std=0.0)
         pred = predict(model, TimeSeries(t, [0.1, 0.1, 0.2]), 0.5)
         assert pred.variance >= 0.0
         assert gp_core.diagnostics["variance_clamps"] >= before
