@@ -38,7 +38,6 @@ from .fusion import (
     ensemble_from_features,
     fuse,
     fused_prediction,
-    gaussian_predictive_density,
     gptdf_step,
     predictive_weights,
     run_stream,

@@ -17,6 +17,7 @@ import json
 import socket
 import socketserver
 import threading
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,7 +138,13 @@ def decode_message(line):
 class CloudRegistry:
     """Append-only feature store. Reports are idempotent per
     (source_id, fitted_at); queries see a consistent snapshot. Optionally
-    persists one JSON record per line so later runs can resume."""
+    persists one JSON record per line so later runs can resume.
+
+    On reopening, a final line cut off mid-write (bytes after the last
+    newline that do not parse) is dropped with a RuntimeWarning and
+    truncated from the file, so the next append starts on a fresh line. A
+    malformed complete line raises DataError naming its line number.
+    """
 
     def __init__(self, path=None):
         self._lock = threading.Lock()
@@ -145,14 +152,37 @@ class CloudRegistry:
         self._by_key = {}
         self._path = path
         if path is not None:
+            self._replay(path)
+
+    def _replay(self, path):
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except FileNotFoundError:
+            return
+        end = data.rfind(b"\n") + 1
+        lines = data[:end].split(b"\n")[:-1]
+        tail = data[end:]
+        if tail.strip():
             try:
-                with open(path, encoding="utf-8") as fh:
-                    for line in fh:
-                        line = line.strip()
-                        if line:
-                            self._ingest(FeatureRecord.from_message(json.loads(line)))
-            except FileNotFoundError:
-                pass
+                json.loads(tail)
+            except ValueError:
+                with open(path, "r+b") as fh:
+                    fh.truncate(end)
+                warnings.warn(f"{path}: dropped a torn final line of {len(tail)} bytes",
+                              RuntimeWarning)
+            else:
+                with open(path, "ab") as fh:
+                    fh.write(b"\n")
+                lines.append(tail)
+        for number, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = FeatureRecord.from_message(json.loads(line))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise DataError(f"{path}: line {number} is not a feature record: {exc}") from exc
+            self._ingest(record)
 
     def _ingest(self, record):
         if record.key in self._by_key:

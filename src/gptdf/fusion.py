@@ -18,9 +18,11 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import lapack
 
 from . import gp_core
-from .gp_core import PredictiveDistribution, TimeSeries
+from .errors import NumericalError
+from .gp_core import PredictiveDistribution
 
 __all__ = [
     "EnsembleState",
@@ -31,7 +33,6 @@ __all__ = [
     "predictive_weights",
     "update_weights",
     "gaussian_log_density",
-    "gaussian_predictive_density",
     "fuse",
     "fuse_predictions",
     "confidence_interval",
@@ -103,10 +104,6 @@ def gaussian_log_density(pred, y):
     return -0.5 * ((float(y) - pred.mean) ** 2 / v + math.log(2.0 * math.pi * v))
 
 
-def gaussian_predictive_density(pred, y):
-    return math.exp(gaussian_log_density(pred, y))
-
-
 def fuse(per_model, omega_hat):
     """Weighted product-of-experts fusion of Gaussian predictions.
 
@@ -156,7 +153,8 @@ class EnsembleState:
 
     Single-writer: `gptdf_step` mutates the state in place. `weights` holds
     the posterior model weights; `omega_hat` the flattened predictive weights
-    that the next fusion will use.
+    that the next fusion will use. The models are fixed for the life of the
+    state: the gain cache is keyed on the window alone.
     """
 
     models: list
@@ -167,6 +165,9 @@ class EnsembleState:
     window_times: deque = field(default=None)
     window_values: deque = field(default=None)
     step: int = 0
+    # (offsets key, gain rows, unclamped variances) of the last window the
+    # experts were conditioned on; see `_window_gains`.
+    _gain_cache: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.models) < 1:
@@ -193,11 +194,6 @@ class EnsembleState:
     def n_models(self):
         return len(self.models)
 
-    def window_series(self):
-        if not self.window_times:
-            return None
-        return TimeSeries(np.array(self.window_times), np.array(self.window_values))
-
 
 def ensemble_from_features(features, tau=DEFAULT_TAU, alpha=DEFAULT_ALPHA, mean=0.0):
     """Build an ensemble of one expert per feature triple, starting from
@@ -213,11 +209,94 @@ def ensemble_from_features(features, tau=DEFAULT_TAU, alpha=DEFAULT_ALPHA, mean=
                          alpha=alpha, tau=tau)
 
 
+def _cholesky_stack(V):
+    """Lower Cholesky factors of an (M, n, n) stack of covariances from one
+    `np.linalg.cholesky` call, each with the ridge `gp_core._cholesky_with_jitter` starts
+    from. If the stack fails, each expert is factored alone and one that
+    fails again is handed to that helper, so every expert ends with the
+    jitter the dense `gp_core.predict` would give it."""
+    n = V.shape[-1]
+    scale = np.trace(V, axis1=1, axis2=2) / n
+    ridged = V + (gp_core.JITTER_INITIAL * scale)[:, None, None] * np.eye(n)
+    try:
+        return np.linalg.cholesky(ridged)
+    except np.linalg.LinAlgError:
+        pass
+    L = np.empty_like(V)
+    for j in range(V.shape[0]):
+        try:
+            L[j] = np.linalg.cholesky(ridged[j])
+        except np.linalg.LinAlgError:
+            L[j] = gp_core._cholesky_with_jitter(V[j])
+    return L
+
+
+def _solve_upper(U, b, trans):
+    """Solve U x = b (trans=0) or U' x = b (trans=1) for upper-triangular U."""
+    x, info = lapack.dtrtrs(U, b, lower=0, trans=trans)
+    if info != 0:
+        raise NumericalError(f"triangular solve failed (info={info})")
+    return x
+
+
+def _window_gains(state, t_star):
+    """Per-expert gain rows W_j = V_j^-1 k*_j and unclamped predictive
+    variances k(t*, t*) - k*_j' V_j^-1 k*_j for predicting `t_star` from the
+    current window.
+
+    Both depend on the window only through its offsets t* - t_i, so they are
+    cached on the state under those offsets' bytes: on a regular grid with a
+    full window every step hits, and a step costs one (M, tau) product. A
+    gap, an irregular grid or a filling window misses and recomputes.
+    """
+    times = np.array(state.window_times)
+    offsets = t_star - times
+    key = offsets.tobytes()
+    cached = state._gain_cache
+    if cached is not None and cached[0] == key:
+        return cached[1], cached[2]
+
+    models = state.models
+    sf = np.array([m.kernel.output_scale for m in models])[:, None]
+    sl = np.array([m.kernel.length_scale for m in models])[:, None]
+    noise_var = np.array([m.noise_std for m in models]) ** 2
+    n = times.size
+    r = np.abs(times[:, None] - times[None, :])
+    K = gp_core._matern52(sf[:, :, None], sl[:, :, None], r)
+    L = _cholesky_stack(K + noise_var[:, None, None] * np.eye(n))
+    k_star = gp_core._matern52(sf, sl, np.abs(offsets))
+    gains = np.empty((len(models), n))
+    variances = np.empty(len(models))
+    for j in range(len(models)):
+        # L[j].T is the upper factor in Fortran order: LAPACK takes it uncopied.
+        w = _solve_upper(L[j].T, k_star[j], trans=1)
+        gains[j] = _solve_upper(L[j].T, w, trans=0)
+        variances[j] = gp_core.eval_kernel(models[j].kernel, t_star, t_star) - w @ w
+    state._gain_cache = (key, gains, variances)
+    return gains, variances
+
+
 def fused_prediction(state, t_star):
     """Fused prediction at `t_star` from the current window and predictive
-    weights. Pure: does not advance the state."""
-    window = state.window_series()
-    preds = [gp_core.predict(m, window, t_star) for m in state.models]
+    weights. Does not advance the state; it only refreshes the gain cache.
+
+    Each expert's prediction equals `gp_core.predict(model, window, t_star)`,
+    the dense single-model reference, computed for all experts at once.
+    """
+    models = state.models
+    mu = np.array([m.mean for m in models])
+    if state.window_times:
+        gains, variances = _window_gains(state, t_star)
+        y = np.array(state.window_values)
+        means = mu + (gains * (y - mu[:, None])).sum(axis=1)
+        clamped = variances < 0.0
+        if clamped.any():
+            gp_core.diagnostics["variance_clamps"] += int(clamped.sum())
+            variances = np.maximum(variances, 0.0)
+    else:
+        means = mu
+        variances = np.array([gp_core.eval_kernel(m.kernel, t_star, t_star) for m in models])
+    preds = [PredictiveDistribution(m, v) for m, v in zip(means.tolist(), variances.tolist())]
     return fuse_predictions(preds, state.omega_hat)
 
 
@@ -245,8 +324,11 @@ def gptdf_step(state, new_obs):
 
     fused = fused_prediction(state, t)
     if state.window_times:
-        likelihoods = np.array([gaussian_predictive_density(p, y) for p, _ in fused.per_model])
-        state.weights = update_weights(state.omega_hat, likelihoods)
+        # Likelihoods relative to the best expert's: the update is invariant
+        # to that scale, and one surprising observation can no longer
+        # underflow every density and collapse the update.
+        log_lik = np.array([gaussian_log_density(p, y) for p, _ in fused.per_model])
+        state.weights = update_weights(state.omega_hat, np.exp(log_lik - log_lik.max()))
     state.omega_hat = predictive_weights(state.weights, state.alpha)
     state.window_times.append(t)
     state.window_values.append(y)

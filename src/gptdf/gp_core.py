@@ -115,15 +115,17 @@ class Matern52:
         object.__setattr__(self, "length_scale", _check_scale("length_scale", self.length_scale))
 
 
-def _kernel_values(kernel, r):
-    """Matern-5/2 kernel evaluated at nonnegative distances `r` (scalar or array)."""
-    a = SQRT5 * r / kernel.length_scale
-    return kernel.output_scale ** 2 * (1.0 + a + a * a / 3.0) * np.exp(-a)
+def _matern52(output_scale, length_scale, r):
+    """Matern-5/2 values at nonnegative distances `r`; the scales broadcast
+    against `r`, so one call can evaluate a stack of kernels."""
+    a = SQRT5 * r / length_scale
+    return output_scale ** 2 * (1.0 + a + a * a / 3.0) * np.exp(-a)
 
 
 def eval_kernel(kernel, t_i, t_j):
     """Covariance between two time points. Symmetric; bounded by output_scale**2."""
-    return float(_kernel_values(kernel, abs(float(t_i) - float(t_j))))
+    return float(_matern52(kernel.output_scale, kernel.length_scale,
+                           abs(float(t_i) - float(t_j))))
 
 
 def build_covariance(kernel, ts_a, ts_b):
@@ -137,7 +139,7 @@ def build_covariance(kernel, ts_a, ts_b):
     if a.size == 0 or b.size == 0:
         raise DataError("empty input locations")
     r = np.abs(a[:, None] - b[None, :])
-    return _kernel_values(kernel, r)
+    return _matern52(kernel.output_scale, kernel.length_scale, r)
 
 
 def build_noisy_covariance(K, noise_std):

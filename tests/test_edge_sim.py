@@ -97,6 +97,39 @@ class TestRegistry:
         # re-reporting after reload stays idempotent
         assert reloaded.report(record(source="edge-00")).reason == "duplicate"
 
+    def test_torn_final_line_dropped_and_truncated(self, tmp_path):
+        path = tmp_path / "registry.jsonl"
+        registry = CloudRegistry(path=str(path))
+        registry.report(record(source="edge-00"))
+        intact = path.read_bytes()
+        torn = json.dumps(record(source="edge-01", fitted_at=1).to_message())[:-9]
+        path.write_bytes(intact + torn.encode())
+        with pytest.warns(RuntimeWarning, match="torn final line"):
+            reloaded = CloudRegistry(path=str(path))
+        assert [r.source_id for r in reloaded.snapshot()] == ["edge-00"]
+        assert path.read_bytes() == intact
+        # the next append starts on its own line, so a later reload sees both
+        reloaded.report(record(source="edge-02", fitted_at=2))
+        again = CloudRegistry(path=str(path))
+        assert [r.source_id for r in again.snapshot()] == ["edge-00", "edge-02"]
+
+    def test_final_record_without_newline_kept(self, tmp_path):
+        path = tmp_path / "registry.jsonl"
+        path.write_text(json.dumps(record(source="edge-00").to_message()))
+        reloaded = CloudRegistry(path=str(path))
+        reloaded.report(record(source="edge-01", fitted_at=1))
+        again = CloudRegistry(path=str(path))
+        assert [r.source_id for r in again.snapshot()] == ["edge-00", "edge-01"]
+
+    @pytest.mark.parametrize("bad", ['{"type": "report", "source_id": "x"', "[1, 2]",
+                                     '{"type": "report", "source_id": "x", "sigma_f": -1}'])
+    def test_malformed_complete_line_names_its_number(self, tmp_path, bad):
+        path = tmp_path / "registry.jsonl"
+        good = json.dumps(record(source="edge-00").to_message())
+        path.write_text(f"{good}\n\n{bad}\n{good}\n")
+        with pytest.raises(DataError, match="line 3"):
+            CloudRegistry(path=str(path))
+
     def test_concurrent_reports_all_appear(self):
         registry = CloudRegistry()
         snapshots = []

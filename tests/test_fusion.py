@@ -1,6 +1,7 @@
 """Weight dynamics, product-of-experts fusion, and the online loop."""
 
 import math
+import warnings
 from collections import deque
 
 import numpy as np
@@ -19,7 +20,7 @@ from gptdf.fusion import (
     fuse,
     fuse_predictions,
     fused_prediction,
-    gaussian_predictive_density,
+    gaussian_log_density,
     gptdf_step,
     log_record,
     predictive_weights,
@@ -108,20 +109,20 @@ class TestUpdateWeights:
 class TestDensity:
     def test_standard_normal_at_mean(self):
         pred = PredictiveDistribution(0.0, 1.0)
-        assert gaussian_predictive_density(pred, 0.0) == \
+        assert math.exp(gaussian_log_density(pred, 0.0)) == \
             pytest.approx(1.0 / math.sqrt(2 * math.pi))
 
     def test_translation_invariance(self):
-        assert gaussian_predictive_density(PredictiveDistribution(2.0, 1.0), 2.0) == \
+        assert math.exp(gaussian_log_density(PredictiveDistribution(2.0, 1.0), 2.0)) == \
             pytest.approx(1.0 / math.sqrt(2 * math.pi))
 
     def test_wider_variance(self):
-        assert gaussian_predictive_density(PredictiveDistribution(0.0, 4.0), 0.0) == \
+        assert math.exp(gaussian_log_density(PredictiveDistribution(0.0, 4.0), 0.0)) == \
             pytest.approx(1.0 / math.sqrt(8 * math.pi))
 
     def test_zero_variance_floored(self):
         pred = PredictiveDistribution(0.0, 0.0)
-        assert math.isfinite(gaussian_predictive_density(pred, 0.0))
+        assert math.isfinite(math.exp(gaussian_log_density(pred, 0.0)))
 
 
 class TestFuse:
@@ -272,6 +273,19 @@ class TestGptdfStep:
                 pytest.approx(ra.prediction.distribution.variance, abs=1e-9)
         np.testing.assert_allclose(state_b.weights, state_a.weights[perm], atol=1e-9)
 
+    def test_outlier_does_not_collapse_weights(self):
+        # One observation far outside both experts' predictions underflows
+        # both densities; only the wide-noise expert can explain it.
+        state = ensemble_from_features([TemporalFeature(1.0, 5.0, 0.1),
+                                        TemporalFeature(1.0, 5.0, 2.0)], tau=20)
+        for k in range(30):
+            gptdf_step(state, (float(k), math.sin(k / 5.0)))
+        assert state.weights[0] > 0.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gptdf_step(state, (30.0, 80.0))
+        assert state.weights[1] > 0.5
+
     def test_prediction_emitted_at_first_iteration(self):
         # zero warm-up: the record for step 0 exists and carries an interval
         state = ensemble_from_features([TemporalFeature(1, 1, 0.1)])
@@ -306,3 +320,133 @@ class TestFusedPredictionHelpers:
         before = (state.step, tuple(state.window_times))
         fused_prediction(state, 1.0)
         assert (state.step, tuple(state.window_times)) == before
+
+
+# Sixteen experts with distinct output scales (so distinct covariance
+# diagonals), four length scales and two noise levels; the noise levels
+# stay at or above the fitting floor, where the dense reference itself is
+# accurate well beyond 1e-12.
+MIXED_FEATURES = [TemporalFeature(0.5 + 0.06 * j, (0.7, 2.0, 6.0, 15.0)[j % 4], (0.1, 0.4)[j // 8])
+                  for j in range(16)]
+
+
+def stream_on(timestamps, seed=0):
+    t = np.asarray(timestamps, dtype=float)
+    return TimeSeries(t, np.random.default_rng(seed).normal(0.0, 1.0, t.size))
+
+
+def online_predictions(features, stream, tau):
+    """Run the online loop; return each step's per-expert predictions, the
+    number of gain-cache misses, and the number of steps whose window
+    offsets differ from the previous step's."""
+    state = ensemble_from_features(features, tau=tau, mean=0.25)
+    steps = []
+    misses = changes = 0
+    previous = None
+    for t, y in zip(stream.timestamps.tolist(), stream.values.tolist()):
+        if state.window_times:
+            offsets = (t - np.array(state.window_times)).tobytes()
+            changes += offsets != previous
+            previous = offsets
+        cache = state._gain_cache
+        fused, state = gptdf_step(state, (t, y))
+        misses += state._gain_cache is not cache
+        steps.append([pred for pred, _ in fused.per_model])
+    return state.models, steps, misses, changes
+
+
+def assert_matches_dense(models, stream, tau, steps):
+    """Every expert's prediction at every step equals the dense
+    `gp_core.predict` on the same window, to 1e-12."""
+    wt, wy = deque(maxlen=tau), deque(maxlen=tau)
+    for t, y, preds in zip(stream.timestamps.tolist(), stream.values.tolist(), steps):
+        window = TimeSeries(np.array(wt), np.array(wy)) if wt else None
+        for model, pred in zip(models, preds):
+            ref = gp_core.predict(model, window, t)
+            assert pred.mean == pytest.approx(ref.mean, abs=1e-12)
+            assert pred.variance == pytest.approx(ref.variance, abs=1e-12)
+        wt.append(t)
+        wy.append(y)
+
+
+class TestBatchedExperts:
+    """The batched, cached expert predictions against the dense reference."""
+
+    def check(self, features, stream, tau):
+        models, steps, misses, changes = online_predictions(features, stream, tau)
+        assert_matches_dense(models, stream, tau, steps)
+        assert misses == changes
+        return misses
+
+    def test_integer_grid_hits_once_window_is_full(self):
+        # steps 1..tau fill the window; every later step reuses its gains
+        tau = 12
+        assert self.check(MIXED_FEATURES, stream_on(range(60)), tau) == tau
+
+    def test_irregular_grid_misses_every_step(self, rng):
+        t = np.cumsum(1.0 + rng.uniform(-0.45, 0.45, 40))
+        assert self.check(MIXED_FEATURES[:5], stream_on(t), 10) == 39
+
+    def test_skipped_timestamp_misses_then_refills(self):
+        # the filling window, each of the tau windows the gap shifts or passes
+        # through, then one refill of the regular window after it
+        tau = 8
+        t = [k for k in range(50) if k != 30]
+        assert self.check(MIXED_FEATURES[::3], stream_on(t), tau) == tau + tau + 1
+
+    def test_window_filling_and_first_slide(self):
+        tau = 16
+        assert self.check(MIXED_FEATURES, stream_on(range(tau + 2)), tau) == tau
+
+    @pytest.mark.parametrize("stubborn", [[3], list(range(16))])
+    def test_cholesky_fallback_matches_dense(self, monkeypatch, stubborn):
+        """If the batched factorization fails, each expert is factored alone
+        and only those that fail again go through the dense jitter helper."""
+        real_cholesky = np.linalg.cholesky
+        real_helper = gp_core._cholesky_with_jitter
+        diagonals = [MIXED_FEATURES[j].sigma_f ** 2 + MIXED_FEATURES[j].sigma_n ** 2
+                     for j in stubborn]
+        helper_calls = []
+
+        def is_stubborn(V):
+            return any(math.isclose(V[0, 0], d, rel_tol=1e-9) for d in diagonals)
+
+        def failing_cholesky(a):
+            if a.ndim == 3 or is_stubborn(a):
+                raise np.linalg.LinAlgError("forced")
+            return real_cholesky(a)
+
+        def counted_helper(V, *args):
+            assert is_stubborn(V)
+            helper_calls.append(1)
+            return real_helper(V, *args)
+
+        stream = stream_on(range(20))
+        monkeypatch.setattr(np.linalg, "cholesky", failing_cholesky)
+        monkeypatch.setattr(gp_core, "_cholesky_with_jitter", counted_helper)
+        models, steps, misses, _ = online_predictions(MIXED_FEATURES, stream, 6)
+        monkeypatch.undo()
+        assert len(helper_calls) == misses * len(stubborn)
+        assert_matches_dense(models, stream, 6, steps)
+
+    def test_variance_clamps_counted_like_dense(self, monkeypatch):
+        state = ensemble_from_features(MIXED_FEATURES, tau=10)
+        state.window_times.extend(range(10))
+        state.window_values.extend(np.linspace(-1.0, 1.0, 10).tolist())
+        window = TimeSeries(np.array(state.window_times), np.array(state.window_values))
+        real = gp_core.eval_kernel
+        # a prior variance below what the window explains drives every
+        # expert's predictive variance negative
+        monkeypatch.setattr(gp_core, "eval_kernel", lambda k, a, b: real(k, a, b) - 10.0)
+
+        before = gp_core.diagnostics["variance_clamps"]
+        fast = [fused_prediction(state, 10.0) for _ in range(2)]  # a miss, then a hit
+        fast_clamps = gp_core.diagnostics["variance_clamps"] - before
+        dense = [[gp_core.predict(m, window, 10.0) for m in state.models] for _ in range(2)]
+        dense_clamps = gp_core.diagnostics["variance_clamps"] - before - fast_clamps
+
+        assert fast_clamps == dense_clamps == 2 * len(MIXED_FEATURES)
+        for fused, ref in zip(fast, dense):
+            for (pred, _), r in zip(fused.per_model, ref):
+                assert pred.variance == r.variance == 0.0
+                assert pred.mean == pytest.approx(r.mean, abs=1e-12)
