@@ -6,7 +6,14 @@ a cloud registry relays those features, and a cold-starting target node fuses
 the resulting GP experts with dynamically averaged weights.
 """
 
-from .errors import ConfigError, DataError, GptdfError, NumericalError, PartialFailure
+from .errors import (
+    ConfigError,
+    DataError,
+    GptdfError,
+    NumericalError,
+    PartialFailure,
+    TransportError,
+)
 from .gp_core import (
     FitConfig,
     FitWarning,

@@ -42,7 +42,7 @@ def _load_json(path):
 @click.option("--time-column", default=None, help="Optional time column (index or name).")
 @click.option("--restarts", type=int, default=None, help="Override the restart count.")
 @click.option("--fit-config", "fit_config_path", type=click.Path(), default=None,
-              help="JSON file with bounds, restarts, jitter schedule, seed.")
+              help="JSON file with bounds, restarts, jitter_initial, seed.")
 @click.option("--no-normalize", is_flag=True, help="Fit the raw values without normalizing.")
 @click.pass_context
 def fit(ctx, csv_path, column, time_column, restarts, fit_config_path, no_normalize):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import data_io, evaluation, fusion, gp_core
-from .errors import ConfigError, DataError, GptdfError
+from .errors import ConfigError, DataError, GptdfError, TransportError
 from .gp_core import FitConfig, TemporalFeature
 
 __all__ = [
@@ -53,6 +53,12 @@ MESSAGE_FIELDS = ("type", "source_id", "sigma_f", "sigma_l", "sigma_n", "n_point
 ENVELOPE_FIELDS = ("limit", "status", "reason")
 
 MIN_REPORT_POINTS = gp_core.MIN_FIT_POINTS
+
+# Seconds a socket client waits to connect and for each read, and a server
+# handler waits for its request line.
+SOCKET_TIMEOUT_S = 10.0
+# Longest request line a server reads; a longer one is cut there and rejected.
+MAX_LINE_BYTES = 1 << 16
 
 # Fallback expert for a target whose query returns nothing (normalized data)
 DEFAULT_PRIOR_FEATURE = TemporalFeature(sigma_f=1.0, sigma_l=1.0, sigma_n=0.1)
@@ -300,7 +306,12 @@ class InProcessChannel(_Channel):
 
 class _RegistryRequestHandler(socketserver.StreamRequestHandler):
     def handle(self):
-        line = self.rfile.readline().decode("utf-8", errors="replace")
+        self.connection.settimeout(SOCKET_TIMEOUT_S)
+        try:
+            raw = self.rfile.readline(MAX_LINE_BYTES)
+        except TimeoutError:
+            return  # a client that never sends its line is dropped unanswered
+        line = raw.decode("utf-8", errors="replace")
         for reply in handle(self.server.registry, line):
             self.wfile.write((reply + "\n").encode("utf-8"))
         # one request per connection; closing the socket ends the response
@@ -319,22 +330,27 @@ def serve_registry(registry, host="127.0.0.1", port=0):
 
 class SocketChannel(_Channel):
     """Socket transport: each request line travels to a `serve_registry`
-    server over its own connection."""
+    server over its own connection. Connecting and each read wait at most
+    `SOCKET_TIMEOUT_S`; past that the request raises TransportError."""
 
     def __init__(self, address):
         super().__init__()
         self.address = address
 
     def _send(self, line):
-        with socket.create_connection(self.address) as sock:
-            sock.sendall((line + "\n").encode("utf-8"))
-            sock.shutdown(socket.SHUT_WR)
-            raw = b""
-            while True:
-                chunk = sock.recv(65536)
-                if not chunk:
-                    break
-                raw += chunk
+        try:
+            with socket.create_connection(self.address, timeout=SOCKET_TIMEOUT_S) as sock:
+                sock.sendall((line + "\n").encode("utf-8"))
+                sock.shutdown(socket.SHUT_WR)
+                raw = b""
+                while True:
+                    chunk = sock.recv(65536)
+                    if not chunk:
+                        break
+                    raw += chunk
+        except TimeoutError as exc:
+            raise TransportError(f"registry at {self.address} did not answer within "
+                                 f"{SOCKET_TIMEOUT_S} s") from exc
         return [reply for reply in raw.decode("utf-8").splitlines() if reply.strip()]
 
 

@@ -2,7 +2,7 @@
 
 The CLI maps these onto exit codes: config/usage problems exit 2, data
 problems exit 3, numerical failures exit 4, and a simulation that produced
-partial results exits 1.
+partial results exits 1. A transport timeout fails the node that hit it.
 """
 
 
@@ -20,6 +20,10 @@ class DataError(GptdfError):
 
 class NumericalError(GptdfError):
     """Linear-algebra failure that survived all numerical safeguards."""
+
+
+class TransportError(GptdfError):
+    """A registry connection or reply that timed out."""
 
 
 class PartialFailure(GptdfError):

@@ -1,16 +1,21 @@
 """Gaussian-process core: the Matern-5/2 kernel, covariance construction, exact prediction,
 marginal likelihood, hyperparameter fitting, and prior sampling.
 
-Inputs are scalar times. All covariance factorizations go through a single
-jittered Cholesky helper; fitting runs multi-start L-BFGS-B in log-parameter
-space with analytic gradients.
+Inputs are scalar times. Prediction, sampling and `log_marginal_likelihood`
+factor the dense covariance through a single jittered Cholesky helper.
+Fitting never forms a covariance matrix: its objective is the same
+likelihood computed by a Kalman filter over the state-space form of
+Matern-5/2, O(n) per evaluation, with a complex-step gradient. It runs
+multi-start L-BFGS-B in log-parameter space.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy import linalg as sla
@@ -46,6 +51,10 @@ JITTER_INITIAL = 1e-10
 JITTER_MAX = 1e-4
 
 MIN_FIT_POINTS = 8
+
+# What a failed L-BFGS-B run may raise; anything else is a programming error
+# and propagates out of fit_hyperparameters.
+_NUMERICAL_FAILURES = (ArithmeticError, np.linalg.LinAlgError)
 
 # Diagnostic counters. `variance_clamps` counts predictive variances that
 # came out (slightly) negative in floating point and were clamped to zero.
@@ -296,7 +305,9 @@ def sample_prior(model, ts, seed):
 @dataclass(frozen=True)
 class FitConfig:
     """Multi-start fit settings: per-parameter bounds, restart count, seed for
-    the log-uniform initializations, and the jitter schedule."""
+    the log-uniform initializations, and the relative ridge `jitter_initial`
+    that the fit objective adds to the noise variance (the first-attempt
+    jitter of the dense likelihood)."""
 
     sigma_f_bounds: tuple = (1e-3, 1e3)
     sigma_l_bounds: tuple = (1e-3, 1e3)
@@ -304,7 +315,6 @@ class FitConfig:
     restarts: int = 8
     seed: int = 0
     jitter_initial: float = JITTER_INITIAL
-    jitter_max: float = JITTER_MAX
 
     def __post_init__(self):
         for name in ("sigma_f_bounds", "sigma_l_bounds", "sigma_n_bounds"):
@@ -314,6 +324,9 @@ class FitConfig:
         if int(self.restarts) < 1:
             raise ValueError("restarts must be >= 1")
         object.__setattr__(self, "restarts", int(self.restarts))
+        if not (0.0 <= self.jitter_initial and math.isfinite(self.jitter_initial)):
+            raise ValueError(f"jitter_initial must be nonnegative and finite, "
+                             f"got {self.jitter_initial}")
 
     def as_dict(self):
         return {
@@ -323,13 +336,12 @@ class FitConfig:
             "restarts": self.restarts,
             "seed": self.seed,
             "jitter_initial": self.jitter_initial,
-            "jitter_max": self.jitter_max,
         }
 
     @classmethod
     def from_dict(cls, d):
         known = {"sigma_f_bounds", "sigma_l_bounds", "sigma_n_bounds",
-                 "restarts", "seed", "jitter_initial", "jitter_max"}
+                 "restarts", "seed", "jitter_initial"}
         unknown = set(d) - known
         if unknown:
             raise ValueError(f"unknown fit-config keys: {sorted(unknown)}")
@@ -340,37 +352,156 @@ class FitConfig:
         for name in ("restarts", "seed"):
             if name in d:
                 kwargs[name] = int(d[name])
-        for name in ("jitter_initial", "jitter_max"):
-            if name in d:
-                kwargs[name] = float(d[name])
+        if "jitter_initial" in d:
+            kwargs["jitter_initial"] = float(d["jitter_initial"])
         return cls(**kwargs)
 
 
-def _matern_nll_and_grad(log_params, t, y, jitter_initial=JITTER_INITIAL, jitter_max=JITTER_MAX):
-    """Negative log marginal likelihood of a zero-mean Matern-5/2 model and
-    its gradient w.r.t. (log sigma_f, log sigma_l, log sigma_n).
+# Matern-5/2 as a linear SDE (Hartikainen & Sarkka, MLSP 2010). With
+# lam = sqrt(5)/sigma_l and sigma_f = 1, the state (f, f'/lam, f''/lam^2) has
+# drift lam*(M - I), M = [[1, 1, 0], [0, 1, 1], [-1, -3, -2]], and M^3 = 0.
+# The filter runs in the Jordan basis of M: x = T z with T the chain
+# (M^2 e3, M e3, e3). There M is the upper shift J, f is still the first
+# component, the transition over a scaled gap u = lam*d is the triangular
+# A = exp(-u) (I + u J + u^2 J^2 / 2), and the stationary covariance C does
+# not depend on lam.
+_SYM = ([0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2])  # upper triangle, row-major
 
-    Gradient entries are -tr((aa' - V^-1) dV/dtheta)/2 with a = V^-1 y.
+
+def _sde_constants():
+    """Upper triangles of C and of the d_j (j = 0..4) in
+    Q(u) = C - A C A' = C P(5, 2u) + exp(-2u) sum_j d_j u^j,
+    P(5, .) being the regularized lower incomplete gamma function. Worked in
+    exact rationals so that the low orders that cancel are exactly 0: Q00 is
+    O(u^5), which C - A C A' in floating point loses entirely."""
+    third = Fraction(1, 3)
+    T_inv = np.array([[1, 0, 0], [1, 1, 0], [1, 2, 1]], dtype=object)
+    C = T_inv @ np.array([[1, 0, -third], [0, third, 0], [-third, 0, 1]], dtype=object) @ T_inv.T
+    J = np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=object)
+    B = [np.identity(3, dtype=int).astype(object), J, (J @ J) * Fraction(1, 2)]
+    d = [C * Fraction(2 ** j, math.factorial(j))
+         - sum(B[a] @ C @ B[j - a].T for a in range(3) if 0 <= j - a <= 2)
+         for j in range(5)]
+    return C[_SYM].astype(float), np.array([dj[_SYM] for dj in d], dtype=float)
+
+
+_SDE_C, _SDE_QPOLY = _sde_constants()
+# Row of a transition from "no previous observation": A = 0, Q = C.
+_SDE_START = [0.0] * 4 + _SDE_C.tolist()
+# 1/j! for j = 5..20: the terms of the P(5, x) series that matter for x < 1.
+_SERIES_COEF = np.array([1.0 / math.factorial(j) for j in range(5, 21)])
+# Complex-step size in log-parameter space.
+_CSTEP = 1e-20
+
+
+def _gamma5(x):
+    """P(5, x) = 1 - exp(-x) sum_{j<5} x^j / j!, by its power series where
+    that difference would cancel (x < 1). Analytic, so complex steps pass."""
+    small = x.real < 1.0
+    xs = np.where(small, x, 0.0)
+    series = np.exp(-xs) * (np.vander(xs, 21, increasing=True)[:, 5:] @ _SERIES_COEF)
+    direct = 1.0 - np.exp(-x) * (1.0 + x * (1.0 + x / 2.0 * (1.0 + x / 3.0 * (1.0 + x / 4.0))))
+    return np.where(small, series, direct)
+
+
+def _transition_rows(u):
+    """One row per scaled gap in `u`: u, u^2/2, exp(-u) and exp(-2u), which
+    give A, then the upper triangle of Q."""
+    e2 = np.exp(-2.0 * u)
+    Q = (_gamma5(2.0 * u)[:, None] * _SDE_C
+         + e2[:, None] * (np.vander(u, 5, increasing=True) @ _SDE_QPOLY))
+    return np.column_stack([u, 0.5 * u * u, np.exp(-u), e2, Q])
+
+
+def _kalman_terms(y, rows, r):
+    """Kalman filter of a unit-variance Matern-5/2 state observed with noise
+    variance `r`; `rows[k]` is the transition into observation k (see
+    `_transition_rows`; the first is `_SDE_START`). Returns
+    (sum log S_k, sum v_k^2 / S_k) over the innovations v_k and their
+    variances S_k; scalars may be complex.
+
+    The S_k are the squared pivots of the Cholesky factor of the noisy
+    covariance in time order, so these sums are log|V| and y' V^-1 y.
     """
-    sf, sl, sn = np.exp(log_params)
-    n = t.shape[0]
-    r = np.abs(t[:, None] - t[None, :])
-    a = SQRT5 * r / sl
-    e = np.exp(-a)
-    K = (sf * sf) * (1.0 + a + a * a / 3.0) * e
-    V = K + (sn * sn) * np.eye(n)
-    L = _cholesky_with_jitter(V, jitter_initial, jitter_max)
-    alpha = sla.cho_solve((L, True), y)
-    nll = 0.5 * float(y @ alpha) + float(np.log(np.diag(L)).sum()) + 0.5 * n * LOG_2PI
+    m0 = m1 = m2 = 0.0
+    p00 = p01 = p02 = p11 = p12 = p22 = 0.0
+    log_det = quad = 0.0
+    log = cmath.log
+    for yk, (a, b, e, e2, q00, q01, q02, q11, q12, q22) in zip(y, rows):
+        # predict: m <- e U m, P <- e^2 U P U' + Q, with U = I + a J + b J^2
+        m0 = e * (m0 + a * m1 + b * m2)
+        m1 = e * (m1 + a * m2)
+        m2 = e * m2
+        r01 = p01 + a * p11 + b * p12
+        r02 = p02 + a * p12 + b * p22
+        r12 = p12 + a * p22
+        p00 = e2 * (p00 + a * (p01 + r01) + b * (p02 + r02)) + q00
+        p01 = e2 * (r01 + a * r02) + q01
+        p02 = e2 * r02 + q02
+        p11 = e2 * (p11 + a * (p12 + r12)) + q11
+        p12 = e2 * r12 + q12
+        p22 = e2 * p22 + q22
+        # update with the observation of f
+        s = p00 + r
+        if not s.real > 0.0:
+            raise NumericalError("innovation variance not positive")
+        v = yk - m0
+        k0 = p00 / s
+        k1 = p01 / s
+        k2 = p02 / s
+        m0 += k0 * v
+        m1 += k1 * v
+        m2 += k2 * v
+        p22 -= k2 * p02
+        p12 -= k1 * p02
+        p11 -= k1 * p01
+        p02 -= k0 * p02
+        p01 -= k0 * p01
+        p00 -= k0 * p00
+        log_det += log(s)
+        quad += v * v / s
+    return log_det, quad
 
-    V_inv = sla.cho_solve((L, True), np.eye(n))
-    dK_dlog_sf = 2.0 * K
-    dK_dlog_sl = (sf * sf) * (a * a * (1.0 + a) / 3.0) * e
-    grad = np.empty(3)
-    for i, G in enumerate((dK_dlog_sf, dK_dlog_sl)):
-        grad[i] = -0.5 * (float(alpha @ G @ alpha) - float((V_inv * G).sum()))
-    # dV/dlog sigma_n = 2 sigma_n^2 I, so only diagonals contribute
-    grad[2] = -0.5 * (2.0 * sn * sn) * (float(alpha @ alpha) - float(np.trace(V_inv)))
+
+def _matern_nll_and_grad(log_params, t, y, jitter_initial=JITTER_INITIAL):
+    """Negative log marginal likelihood of a zero-mean Matern-5/2 model and
+    its gradient w.r.t. (log sigma_f, log sigma_l, log sigma_n), in O(n).
+
+    The value is `-log_marginal_likelihood` at the same first-attempt
+    ridge: the filter's noise variance is sigma_n^2 + jitter_initial *
+    (sigma_f^2 + sigma_n^2), which is the ridge the dense path adds to
+    diag V. One transition is built per distinct gap, so a regular grid
+    needs one. The sigma_l and sigma_n entries of the gradient are complex
+    steps through the same filter; the sigma_f entry follows from scaling
+    both sigma_f and sigma_n, which scales V: g_f + g_n = n - y' V^-1 y.
+    Raises NumericalError on a non-positive innovation variance or a
+    non-finite result.
+    """
+    log_sf, log_sl, log_sn = (float(x) for x in log_params)
+    n = t.shape[0]
+    gaps, index = np.unique(np.diff(t), return_inverse=True)
+    index = index.tolist()
+    sf2 = math.exp(2.0 * log_sf)
+    z = (y / math.exp(log_sf)).tolist()
+
+    def half_nll(transitions, log_sn):
+        unique = transitions.tolist()
+        sn2 = cmath.exp(2.0 * log_sn)
+        log_det, quad = _kalman_terms(z, [_SDE_START] + [unique[i] for i in index],
+                                      (sn2 + jitter_initial * (sf2 + sn2)) / sf2)
+        return 0.5 * (log_det + quad), quad.real
+
+    step = 1j * _CSTEP
+    transitions = _transition_rows(SQRT5 * np.exp(-(log_sl + step)) * gaps)
+    value_l, quad = half_nll(transitions, log_sn)
+    # complex rows: mixed float-complex arithmetic is the slower path in CPython
+    value_n, _ = half_nll(transitions.real + 0j, log_sn + step)
+    nll = value_l.real + n * log_sf + 0.5 * n * LOG_2PI
+    g_l = value_l.imag / _CSTEP
+    g_n = value_n.imag / _CSTEP
+    grad = np.array([n - quad - g_n, g_l, g_n])
+    if not (math.isfinite(nll) and np.isfinite(grad).all()):
+        raise NumericalError("non-finite likelihood")
     return nll, grad
 
 
@@ -408,33 +539,34 @@ def fit_hyperparameters(data, config=None):
 
     def objective(x):
         try:
-            return _matern_nll_and_grad(x, t, y, config.jitter_initial, config.jitter_max)
+            return _matern_nll_and_grad(x, t, y, config.jitter_initial)
         except NumericalError:
             return 1e25, np.zeros(3)
 
     best_nll = math.inf
     best_x = None
-    best_init_nll = math.inf
-    best_init_x = None
-    any_success = False
+    failed_inits = []
     for x0 in inits:
-        init_nll, _ = objective(x0)
-        if init_nll < best_init_nll - 1e-12:
-            best_init_nll = init_nll
-            best_init_x = x0
         try:
             res = sopt.minimize(objective, x0, jac=True, method="L-BFGS-B",
                                 bounds=list(zip(lo, hi)))
-        except Exception:
+        except _NUMERICAL_FAILURES:
+            failed_inits.append(x0)
             continue
-        if not math.isfinite(res.fun):
-            continue
-        any_success = True
         if res.fun < best_nll - 1e-12:
             best_nll = res.fun
             best_x = np.clip(res.x, lo, hi)
 
-    if not any_success or best_x is None or best_nll > best_init_nll:
+    # L-BFGS-B never ends above its own start, so only the starting points
+    # of runs that raised can beat the best optimum.
+    best_init_nll = math.inf
+    best_init_x = None
+    for x0 in failed_inits:
+        init_nll, _ = objective(x0)
+        if init_nll < best_init_nll - 1e-12:
+            best_init_nll = init_nll
+            best_init_x = x0
+    if best_nll > best_init_nll:
         warnings.warn("optimization failed to improve on its initializations; "
                       "returning the best initial point", FitWarning)
         best_x = best_init_x

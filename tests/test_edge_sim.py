@@ -1,13 +1,15 @@
 """Registry behavior, wire protocol, node drivers, and whole-scenario runs."""
 
 import json
+import socket
 import threading
+import time
 from collections import deque
 
 import numpy as np
 import pytest
 
-from gptdf import gp_core
+from gptdf import edge_sim, gp_core
 from gptdf.data_io import generate_synthetic
 from gptdf.edge_sim import (
     MESSAGE_FIELDS,
@@ -23,7 +25,7 @@ from gptdf.edge_sim import (
     run_simulation,
     serve_registry,
 )
-from gptdf.errors import ConfigError, DataError
+from gptdf.errors import ConfigError, DataError, TransportError
 from gptdf.gp_core import FitConfig, TemporalFeature, TimeSeries
 
 FEATURE = TemporalFeature(0.8, 2.0, 0.1)
@@ -479,3 +481,40 @@ class TestSocketTransport:
             assert ra.prediction.distribution == rb.prediction.distribution
         assert result.traffic == baseline.traffic
         assert result.bytes_by_node == baseline.bytes_by_node
+
+    def test_silent_listener_times_out(self, monkeypatch):
+        monkeypatch.setattr(edge_sim, "SOCKET_TIMEOUT_S", 0.2)
+        with socket.socket() as listener:
+            # the backlog completes the connection; nothing ever replies
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(1)
+            channel = SocketChannel(listener.getsockname())
+            start = time.perf_counter()
+            with pytest.raises(TransportError, match="did not answer within 0.2 s"):
+                channel.report(record())
+            assert time.perf_counter() - start < 5.0
+
+    def test_server_drops_a_client_that_never_sends(self, monkeypatch):
+        monkeypatch.setattr(edge_sim, "SOCKET_TIMEOUT_S", 0.2)
+        registry = CloudRegistry()
+        server, thread, address = serve_registry(registry)
+        try:
+            with socket.create_connection(address, timeout=5.0) as sock:
+                assert sock.recv(1) == b""  # closed unanswered
+            assert SocketChannel(address).report(record()).accepted
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert len(registry.snapshot()) == 1
+
+    def test_over_long_request_line_is_cut_and_rejected(self, monkeypatch):
+        monkeypatch.setattr(edge_sim, "MAX_LINE_BYTES", 64)
+        registry = CloudRegistry()
+        server, thread, address = serve_registry(registry)
+        try:
+            with pytest.raises(ConfigError):
+                SocketChannel(address).query(FeatureQuery("t" * 100))
+            assert SocketChannel(address).query(FeatureQuery("t")).records == ()
+        finally:
+            server.shutdown()
+            server.server_close()

@@ -5,7 +5,9 @@ the scalar formulas; matrix cases are checked against the dense-inverse
 oracles in conftest, which do not share the library's Cholesky path.
 """
 
+import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -284,6 +286,143 @@ class TestGradient:
                 assert grad[i] == pytest.approx(num, rel=1e-4)
 
 
+def dense_nll(x, t, y):
+    """Negative dense log marginal likelihood at log-parameters x."""
+    sf, sl, sn = np.exp(x)
+    return -log_marginal_likelihood(GPModel(Matern52(sf, sl), noise_std=sn), TimeSeries(t, y))
+
+
+def reference_nll(x, t, y):
+    """The same likelihood, first-attempt jitter included, with the Cholesky
+    factor worked in 40 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        sf, sl, sn = (mp.mpf(float(v)) for v in np.exp(x))
+        n = len(t)
+        ridge = sn ** 2 + mp.mpf(gp_core.JITTER_INITIAL) * (sf ** 2 + sn ** 2)
+        V = mp.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                a = mp.sqrt(5) * abs(mp.mpf(float(t[i])) - mp.mpf(float(t[j]))) / sl
+                V[i, j] = sf ** 2 * (1 + a + a * a / 3) * mp.exp(-a) + (ridge if i == j else 0)
+        L = mp.cholesky(V)
+        w = mp.lu_solve(L, mp.matrix([mp.mpf(float(v)) for v in y]))
+        quad = sum(w[i] ** 2 for i in range(n))
+        log_det = 2 * sum(mp.log(L[i, i]) for i in range(n))
+        return float((quad + log_det + n * mp.log(2 * mp.pi)) / 2)
+
+
+_BOUNDS = FitConfig()
+FIT_BOUND_CORNERS = list(itertools.product(_BOUNDS.sigma_f_bounds, _BOUNDS.sigma_l_bounds,
+                                           _BOUNDS.sigma_n_bounds))
+# (sigma_f, sigma_l, sigma_n) where sigma_f/sigma_n = 1e4 and sigma_l is far
+# beyond the span: the dense factorization itself loses about six digits there.
+DENSE_LOSES_DIGITS = (1e3, 1e3, 0.1)
+
+
+class TestStateSpaceLikelihood:
+    """`_matern_nll_and_grad` is a Kalman filter over the state-space form of
+    Matern-5/2; the dense `log_marginal_likelihood` is its oracle."""
+
+    @pytest.mark.parametrize("grid", ["regular", "irregular"])
+    def test_matches_dense_on_random_grids(self, rng, grid):
+        for n in (8, 9, 30, 121, 400):
+            if grid == "regular":
+                t = float(rng.integers(-5, 5)) + rng.choice([0.25, 1.0, 2.0]) * np.arange(n)
+            else:
+                t = random_increasing_times(rng, n)
+            x = rng.uniform([-1.0, -1.0, -2.3], [1.0, 2.5, 0.5])
+            sf, sl, sn = np.exp(x)
+            y = sample_prior(GPModel(Matern52(sf, sl), noise_std=sn), t, rng)
+            nll, _ = _matern_nll_and_grad(x, t, y)
+            assert abs(nll - dense_nll(x, t, y)) <= 1e-8 * n, (n, x)
+
+    @pytest.mark.parametrize("gaps", [[1.0], [0.5, 1.0, 2.0], None],
+                             ids=["one-gap", "three-gaps", "all-distinct"])
+    def test_repeated_and_distinct_gaps(self, rng, gaps):
+        n = 150
+        step = rng.choice(gaps, size=n - 1) if gaps else rng.uniform(0.2, 2.0, n - 1)
+        t = np.concatenate([[3.0], 3.0 + np.cumsum(step)])
+        assert len(np.unique(np.diff(t))) == (len(gaps) if gaps else n - 1)
+        y = rng.normal(size=n)
+        for x in np.log([[0.8, 2.0, 0.1], [1.5, 0.3, 0.5], [0.5, 40.0, 0.2]]):
+            nll, _ = _matern_nll_and_grad(x, t, y)
+            assert abs(nll - dense_nll(x, t, y)) <= 1e-8 * n
+
+    @pytest.mark.parametrize("grid", ["regular", "irregular"])
+    def test_fit_bound_corners_match_dense(self, rng, grid):
+        n = 40
+        t = np.arange(n, dtype=float) if grid == "regular" else random_increasing_times(rng, n)
+        y = rng.normal(size=n)
+        for corner in FIT_BOUND_CORNERS:
+            x = np.log(corner)
+            nll, grad = _matern_nll_and_grad(x, t, y)
+            assert np.isfinite(grad).all()
+            if corner != DENSE_LOSES_DIGITS:
+                assert abs(nll - dense_nll(x, t, y)) <= 1e-8 * n, corner
+
+    @pytest.mark.parametrize("grid", ["regular", "irregular"])
+    def test_fit_bound_corners_match_extended_precision(self, rng, grid):
+        n = 40
+        t = np.arange(n, dtype=float) if grid == "regular" else random_increasing_times(rng, n)
+        y = rng.normal(size=n)
+        for corner in FIT_BOUND_CORNERS:
+            x = np.log(corner)
+            nll, _ = _matern_nll_and_grad(x, t, y)
+            assert abs(nll - reference_nll(x, t, y)) <= 1e-8 * n, corner
+
+    def test_gradient_matches_dense_central_differences(self, rng):
+        for grid in ("regular", "irregular"):
+            n = 60
+            t = np.arange(n, dtype=float) if grid == "regular" else random_increasing_times(rng, n)
+            y = rng.normal(size=n)
+            for _ in range(4):
+                x = rng.uniform([-1.0, -0.5, -1.5], [1.0, 2.0, 0.5])
+                _, grad = _matern_nll_and_grad(x, t, y)
+                h = 1e-5
+                for i in range(3):
+                    xp, xm = x.copy(), x.copy()
+                    xp[i] += h
+                    xm[i] -= h
+                    num = (dense_nll(xp, t, y) - dense_nll(xm, t, y)) / (2 * h)
+                    assert grad[i] == pytest.approx(num, rel=1e-6, abs=1e-6)
+
+    def test_jitter_initial_is_the_dense_ridge(self, rng):
+        t = random_increasing_times(rng, 50)
+        y = rng.normal(size=50)
+        model = GPModel(Matern52(0.9, 3.0), noise_std=0.2)
+        x = np.log([0.9, 3.0, 0.2])
+        for jitter in (0.0, 1e-6, 1e-2):
+            nll, _ = _matern_nll_and_grad(x, t, y, jitter)
+            expected = -dense_log_marginal_likelihood(model, t, y, jitter_rel=jitter)
+            assert abs(nll - expected) <= 1e-8 * 50
+
+    def test_long_archive_allocates_no_matrix(self, rng):
+        import tracemalloc
+
+        n = 4000  # a dense covariance alone would take 128 MB
+        t = random_increasing_times(rng, n)
+        y = rng.normal(size=n)
+        tracemalloc.start()
+        try:
+            nll, grad = _matern_nll_and_grad(np.log([1.0, 3.0, 0.3]), t, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(nll) and np.isfinite(grad).all()
+        assert peak < 16e6
+
+    def test_failures_raise_numerical_error(self, rng):
+        t = np.arange(20.0)
+        y = rng.normal(size=20)
+        x = np.log([1.0, 2.0, 0.1])
+        with pytest.raises(NumericalError, match="innovation variance"):
+            _matern_nll_and_grad(x, t, y, jitter_initial=-2.0)
+        y[7] = math.nan
+        with pytest.raises(NumericalError, match="non-finite"):
+            _matern_nll_and_grad(x, t, y)
+
+
 class TestFitHyperparameters:
     def test_recovers_length_scale(self):
         # generate-then-fit consistency: ten seeds, +/-50% on sigma_l
@@ -340,6 +479,72 @@ class TestFitHyperparameters:
                 GPModel(Matern52(sf, sl), noise_std=sn), data)
             assert achieved >= init_lml - 1e-9
 
+    def test_programming_errors_propagate(self, monkeypatch):
+        # One fault inside the first run: swallowing it would let the other
+        # runs finish and hide it.
+        real_objective = gp_core._matern_nll_and_grad
+        calls = []
+
+        def broken(*args):
+            calls.append(args[0])
+            if len(calls) == 2:
+                raise TypeError("broken objective")
+            return real_objective(*args)
+
+        monkeypatch.setattr(gp_core, "_matern_nll_and_grad", broken)
+        with pytest.raises(TypeError, match="broken objective"):
+            fit_hyperparameters(TimeSeries.from_values(np.sin(np.arange(30.0))),
+                                FitConfig(restarts=2))
+
+    def test_numerical_failure_in_every_run_returns_best_initialization(self, monkeypatch):
+        from gptdf.data_io import generate_synthetic
+
+        data = generate_synthetic(TemporalFeature(0.8, 2.0, 0.1), 80, 1)
+        config = FitConfig(restarts=4, seed=3)
+
+        def failing_minimize(*args, **kwargs):
+            raise FloatingPointError("overflow in the line search")
+
+        monkeypatch.setattr(gp_core, "sopt", SimpleNamespace(minimize=failing_minimize))
+        with pytest.warns(gp_core.FitWarning):
+            feature = fit_hyperparameters(data, config)
+
+        lo = np.log([config.sigma_f_bounds[0], config.sigma_l_bounds[0],
+                     config.sigma_n_bounds[0]])
+        hi = np.log([config.sigma_f_bounds[1], config.sigma_l_bounds[1],
+                     config.sigma_n_bounds[1]])
+        y_scale = float(data.values.std())
+        moment = np.clip(np.log([y_scale, 3.0, 0.1 * y_scale]), lo, hi)
+        rng = np.random.default_rng(config.seed)
+        inits = np.vstack([moment, lo + rng.uniform(size=(config.restarts, 3)) * (hi - lo)])
+        chosen = np.log([feature.sigma_f, feature.sigma_l, feature.sigma_n])
+        nlls = [dense_nll(x0, data.timestamps, data.values) for x0 in inits]
+        np.testing.assert_allclose(chosen, inits[int(np.argmin(nlls))], rtol=1e-12)
+
+    def test_no_evaluation_outside_the_optimizer(self, monkeypatch):
+        from gptdf.data_io import generate_synthetic
+
+        calls = []
+        real_objective = gp_core._matern_nll_and_grad
+        real_minimize = gp_core.sopt.minimize
+        nfev = []
+
+        def counted_objective(*args):
+            calls.append(args[0])
+            return real_objective(*args)
+
+        def counted_minimize(*args, **kwargs):
+            res = real_minimize(*args, **kwargs)
+            nfev.append(res.nfev)
+            return res
+
+        monkeypatch.setattr(gp_core, "_matern_nll_and_grad", counted_objective)
+        monkeypatch.setattr(gp_core, "sopt", SimpleNamespace(minimize=counted_minimize))
+        fit_hyperparameters(generate_synthetic(TemporalFeature(0.8, 2.0, 0.1), 60, 0),
+                            FitConfig(restarts=3, seed=0))
+        assert len(nfev) == 4
+        assert len(calls) == sum(nfev)
+
     def test_result_respects_bounds(self):
         from gptdf.data_io import generate_synthetic
 
@@ -349,6 +554,22 @@ class TestFitHyperparameters:
         assert config.sigma_f_bounds[0] <= feature.sigma_f <= config.sigma_f_bounds[1]
         assert config.sigma_l_bounds[0] <= feature.sigma_l <= config.sigma_l_bounds[1]
         assert config.sigma_n_bounds[0] <= feature.sigma_n <= config.sigma_n_bounds[1]
+
+
+class TestFitConfig:
+    def test_round_trip(self):
+        config = FitConfig(restarts=3, seed=5, jitter_initial=1e-8)
+        assert FitConfig.from_dict(config.as_dict()) == config
+
+    def test_jitter_max_is_not_a_fit_setting(self):
+        # the fit objective factors nothing, so there is no jitter to escalate
+        with pytest.raises(ValueError, match="unknown fit-config keys"):
+            FitConfig.from_dict({"jitter_max": 1e-4})
+
+    @pytest.mark.parametrize("bad", [-1e-10, math.nan, math.inf])
+    def test_bad_jitter_rejected(self, bad):
+        with pytest.raises(ValueError, match="jitter_initial"):
+            FitConfig(jitter_initial=bad)
 
 
 class TestTimeSeries:
