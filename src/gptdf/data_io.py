@@ -87,7 +87,9 @@ def load_csv(path, column=0, time_column=None):
         col_idx = int(column)
         time_idx = int(time_column) if time_column is not None else None
         probe = rows[0][col_idx] if col_idx < len(rows[0]) else ""
-        if _parse_float(probe) is None:
+        try:
+            float(probe)
+        except ValueError:
             header_lines = 1  # first row is not numeric: treat as header
 
     data_rows = rows[header_lines:]

@@ -63,6 +63,11 @@ MAX_LINE_BYTES = 1 << 16
 # Fallback expert for a target whose query returns nothing (normalized data)
 DEFAULT_PRIOR_FEATURE = TemporalFeature(sigma_f=1.0, sigma_l=1.0, sigma_n=0.1)
 
+# What parsing a JSON line or building a record from it may raise on bad
+# input: JSON nested past the recursion limit, an integer past the digit
+# limit, a number too large for a float or int, a missing or mistyped field.
+_MALFORMED = (KeyError, TypeError, ValueError, ArithmeticError, RecursionError)
+
 
 @dataclass(frozen=True)
 class FeatureRecord:
@@ -134,7 +139,7 @@ def encode_message(msg):
 def decode_message(line):
     try:
         msg = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"malformed message {line!r}: {exc}") from exc
     if not isinstance(msg, dict) or msg.get("type") not in MESSAGE_TYPES:
         raise ConfigError(f"unknown message type in {line!r}")
@@ -172,7 +177,7 @@ class CloudRegistry:
         if tail.strip():
             try:
                 json.loads(tail)
-            except ValueError:
+            except (ValueError, RecursionError):
                 with open(path, "r+b") as fh:
                     fh.truncate(end)
                 warnings.warn(f"{path}: dropped a torn final line of {len(tail)} bytes",
@@ -186,7 +191,7 @@ class CloudRegistry:
                 continue
             try:
                 record = FeatureRecord.from_message(json.loads(line))
-            except (KeyError, TypeError, ValueError) as exc:
+            except _MALFORMED as exc:
                 raise DataError(f"{path}: line {number} is not a feature record: {exc}") from exc
             self._ingest(record)
 
@@ -201,7 +206,7 @@ class CloudRegistry:
         try:
             if not isinstance(record, FeatureRecord):
                 record = FeatureRecord.from_message(record)
-        except (KeyError, TypeError, ValueError) as exc:
+        except _MALFORMED as exc:
             return Ack(False, f"invalid feature record: {exc}")
         with self._lock:
             fresh = self._ingest(record)

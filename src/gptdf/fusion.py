@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import lapack, qr_delete
 
 from . import gp_core
 from .errors import NumericalError
@@ -154,7 +154,7 @@ class EnsembleState:
     Single-writer: `gptdf_step` mutates the state in place. `weights` holds
     the posterior model weights; `omega_hat` the flattened predictive weights
     that the next fusion will use. The models are fixed for the life of the
-    state: the gain cache is keyed on the window alone.
+    state: the gain cache and the window factors depend on the window alone.
     """
 
     models: list
@@ -168,6 +168,10 @@ class EnsembleState:
     # (offsets key, gain rows, unclamped variances) of the last window the
     # experts were conditioned on; see `_window_gains`.
     _gain_cache: tuple = field(default=None, init=False, repr=False, compare=False)
+    # (window times, predicted time, lower factors L_j, rows L_j^-1 k*_j) of
+    # the last cache miss, kept so the next window's factors can be slid from
+    # them; None when they carry escalated jitter. See `_slid_factors`.
+    _factors: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.models) < 1:
@@ -212,14 +216,15 @@ def ensemble_from_features(features, tau=DEFAULT_TAU, alpha=DEFAULT_ALPHA, mean=
 def _cholesky_stack(V):
     """Lower Cholesky factors of an (M, n, n) stack of covariances from one
     `np.linalg.cholesky` call, each with the ridge `gp_core._cholesky_with_jitter` starts
-    from. If the stack fails, each expert is factored alone and one that
-    fails again is handed to that helper, so every expert ends with the
-    jitter the dense `gp_core.predict` would give it."""
+    from, and whether that one call succeeded. If the stack fails, each expert
+    is factored alone and one that fails again is handed to that helper, so
+    every expert ends with the jitter the dense `gp_core.predict` would give
+    it."""
     n = V.shape[-1]
     scale = np.trace(V, axis1=1, axis2=2) / n
     ridged = V + (gp_core.JITTER_INITIAL * scale)[:, None, None] * np.eye(n)
     try:
-        return np.linalg.cholesky(ridged)
+        return np.linalg.cholesky(ridged), True
     except np.linalg.LinAlgError:
         pass
     L = np.empty_like(V)
@@ -228,7 +233,7 @@ def _cholesky_stack(V):
             L[j] = np.linalg.cholesky(ridged[j])
         except np.linalg.LinAlgError:
             L[j] = gp_core._cholesky_with_jitter(V[j])
-    return L
+    return L, False
 
 
 def _solve_upper(U, b, trans):
@@ -239,6 +244,44 @@ def _solve_upper(U, b, trans):
     return x
 
 
+def _slid_factors(state, times, diagonal):
+    """Lower Cholesky factors of the window `times` carried over from the
+    last cache miss, or None when they must be computed afresh.
+
+    That miss predicted t* from the window T with factors L_j (L_j L_j' is
+    the noisy covariance plus the first ridge) and solved w_j = L_j^-1 k*_j.
+    If the window is now T followed by t*, its factor is [[L_j, 0], [w_j', d_j]]
+    with d_j^2 = `diagonal`_j plus its ridge minus w_j'w_j. If T's first point
+    has also left the window, deleting the first column of the upper factor
+    L_j' is a rank-1 update of its trailing block, which Givens rotations
+    (`qr_delete`) bring back to triangular form; its diagonal may come out
+    negative, which the solves do not mind. Any other window, or a
+    d_j^2 <= 0, gives None.
+    """
+    if state._factors is None:
+        return None
+    prev_times, prev_t, factors, rows = state._factors
+    n = rows.shape[1]
+    drop = times.size == n
+    if not np.array_equal(times, np.append(prev_times[1:] if drop else prev_times, prev_t)):
+        return None
+    d2 = (1.0 + gp_core.JITTER_INITIAL) * diagonal - np.einsum("ij,ij->i", rows, rows)
+    if not (d2 > 0.0).all():
+        return None
+    slid = []
+    for L, w, d in zip(factors, rows, np.sqrt(d2).tolist()):
+        ext = np.zeros((n + 1, n + 1))
+        ext[:n, :n] = L
+        ext[n, :n] = w
+        ext[n, n] = d
+        if drop:
+            _, R = qr_delete(np.eye(n + 1), ext.T, 0, which="col",
+                             overwrite_qr=True, check_finite=False)
+            ext = np.ascontiguousarray(R[:n].T)
+        slid.append(ext)
+    return slid
+
+
 def _window_gains(state, t_star):
     """Per-expert gain rows W_j = V_j^-1 k*_j and unclamped predictive
     variances k(t*, t*) - k*_j' V_j^-1 k*_j for predicting `t_star` from the
@@ -247,7 +290,10 @@ def _window_gains(state, t_star):
     Both depend on the window only through its offsets t* - t_i, so they are
     cached on the state under those offsets' bytes: on a regular grid with a
     full window every step hits, and a step costs one (M, tau) product. A
-    gap, an irregular grid or a filling window misses and recomputes.
+    gap, an irregular grid or a filling window misses. A miss whose window is
+    the previous miss's window plus the point it predicted takes its factors
+    from `_slid_factors`, O(M tau^2); any other miss factors the whole
+    (M, tau, tau) stack with `_cholesky_stack`.
     """
     times = np.array(state.window_times)
     offsets = t_star - times
@@ -261,18 +307,25 @@ def _window_gains(state, t_star):
     sl = np.array([m.kernel.length_scale for m in models])[:, None]
     noise_var = np.array([m.noise_std for m in models]) ** 2
     n = times.size
-    r = np.abs(times[:, None] - times[None, :])
-    K = gp_core._matern52(sf[:, :, None], sl[:, :, None], r)
-    L = _cholesky_stack(K + noise_var[:, None, None] * np.eye(n))
+    L = _slid_factors(state, times, sf[:, 0] ** 2 + noise_var)
+    first_ridge = True
+    if L is None:
+        r = np.abs(times[:, None] - times[None, :])
+        K = gp_core._matern52(sf[:, :, None], sl[:, :, None], r)
+        L, first_ridge = _cholesky_stack(K + noise_var[:, None, None] * np.eye(n))
     k_star = gp_core._matern52(sf, sl, np.abs(offsets))
+    rows = np.empty((len(models), n))
     gains = np.empty((len(models), n))
     variances = np.empty(len(models))
     for j in range(len(models)):
         # L[j].T is the upper factor in Fortran order: LAPACK takes it uncopied.
-        w = _solve_upper(L[j].T, k_star[j], trans=1)
+        w = rows[j] = _solve_upper(L[j].T, k_star[j], trans=1)
         gains[j] = _solve_upper(L[j].T, w, trans=0)
         variances[j] = gp_core.eval_kernel(models[j].kernel, t_star, t_star) - w @ w
     state._gain_cache = (key, gains, variances)
+    # A factor with escalated jitter is not the first-ridge factor that
+    # `_slid_factors` extends, so it is never carried over.
+    state._factors = (times, t_star, L, rows) if first_ridge else None
     return gains, variances
 
 

@@ -1,6 +1,8 @@
 """CSV ingestion, normalization (offline and causal), and synthetic data."""
 
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from gptdf.data_io import (
     prepare_stream,
     resolve_data_spec,
 )
-from gptdf.errors import ConfigError, DataError
+from gptdf.errors import ConfigError, DataError, GptdfError
 from gptdf.gp_core import (
     FitConfig,
     GPModel,
@@ -26,6 +28,11 @@ from gptdf.gp_core import (
     fit_hyperparameters,
     sample_prior,
 )
+
+CSV_CELLS = st.sampled_from(["1", "-2.5", " 3 ", "1e999", "nan", "inf", "", "t", "y",
+                             '"', '"4"', "\x00", "\ufeff5"]) | st.text(max_size=4)
+CSV_TEXTS = st.text() | st.lists(st.lists(CSV_CELLS, max_size=4).map(",".join),
+                                 max_size=8).map("\n".join)
 
 
 class TestLoadCsv:
@@ -81,6 +88,29 @@ class TestLoadCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_csv(tmp_path / "nope.csv")
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=CSV_TEXTS, selectors=st.sampled_from([(0, None), (1, 0), ("y", None),
+                                                      ("y", "t"), (0, 3)]))
+    def test_arbitrary_text_loads_or_raises_data_error(self, text, selectors):
+        with tempfile.TemporaryDirectory() as tmp:
+            p = os.path.join(tmp, "v.csv")
+            with open(p, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            try:
+                series = load_csv(p, *selectors)
+            except GptdfError:
+                return
+        assert isinstance(series, TimeSeries) and len(series) >= 1
+
+    @pytest.mark.parametrize("text, selectors", [("nan\n1\n2\n", (0, None)),
+                                                 ("inf,0\n1,1\n", (0, 1))],
+                             ids=["nan-value", "inf-value"])
+    def test_non_finite_first_value_is_data_not_header(self, tmp_path, text, selectors):
+        p = tmp_path / "v.csv"
+        p.write_text(text)
+        with pytest.raises(DataError, match=r"rows \[1\]"):
+            load_csv(p, *selectors)
 
     def test_non_finite_value_rejected(self, tmp_path):
         p = tmp_path / "v.csv"

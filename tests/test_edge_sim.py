@@ -1,18 +1,25 @@
 """Registry behavior, wire protocol, node drivers, and whole-scenario runs."""
 
 import json
+import os
 import socket
+import tempfile
 import threading
 import time
+import warnings
 from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gptdf import edge_sim, gp_core
 from gptdf.data_io import generate_synthetic
 from gptdf.edge_sim import (
+    ENVELOPE_FIELDS,
     MESSAGE_FIELDS,
+    MESSAGE_TYPES,
     CloudRegistry,
     FeatureQuery,
     FeatureRecord,
@@ -25,7 +32,7 @@ from gptdf.edge_sim import (
     run_simulation,
     serve_registry,
 )
-from gptdf.errors import ConfigError, DataError, TransportError
+from gptdf.errors import ConfigError, DataError, GptdfError, TransportError
 from gptdf.gp_core import FitConfig, TemporalFeature, TimeSeries
 
 FEATURE = TemporalFeature(0.8, 2.0, 0.1)
@@ -34,6 +41,34 @@ FEATURE = TemporalFeature(0.8, 2.0, 0.1)
 def record(source="edge-00", fitted_at=0, feature=FEATURE, n_points=100):
     return FeatureRecord(source_id=source, feature=feature,
                          n_points=n_points, fitted_at=fitted_at)
+
+
+# Arbitrary JSON, with numbers past what a float or an int conversion takes
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=12)
+    | st.integers() | st.integers(-10 ** 400, 10 ** 400),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=3),
+    max_leaves=8)
+# Wire messages: a valid report with any of its fields dropped or replaced,
+# any type, and envelope or unknown fields added
+MESSAGES = st.builds(
+    lambda kind, dropped, replaced, extra: {
+        **{k: v for k, v in record().to_message().items() if k not in dropped},
+        "type": kind, **replaced, **extra},
+    st.sampled_from(MESSAGE_TYPES) | JSON_VALUES,
+    st.sets(st.sampled_from(MESSAGE_FIELDS)),
+    st.dictionaries(st.sampled_from(MESSAGE_FIELDS + ENVELOPE_FIELDS), JSON_VALUES, max_size=3),
+    st.dictionaries(st.text(max_size=6), JSON_VALUES, max_size=2))
+# Lines a parser chokes on: past the int digit limit, past the recursion
+# limit, a number no int or float conversion takes
+HOSTILE_LINES = {
+    "digits": "1" * 5000,
+    "nesting": "[" * 100_000,
+    "infinite-count": json.dumps({**record().to_message(), "n_points": float("inf")}),
+    "huge-scale": json.dumps({**record().to_message(), "sigma_f": 10 ** 400}),
+}
+HOSTILE_PARAMS = [pytest.param(line, id=name) for name, line in HOSTILE_LINES.items()]
 
 
 def quick_fit():
@@ -124,13 +159,32 @@ class TestRegistry:
         assert [r.source_id for r in again.snapshot()] == ["edge-00", "edge-01"]
 
     @pytest.mark.parametrize("bad", ['{"type": "report", "source_id": "x"', "[1, 2]",
-                                     '{"type": "report", "source_id": "x", "sigma_f": -1}'])
+                                     '{"type": "report", "source_id": "x", "sigma_f": -1}',
+                                     *HOSTILE_PARAMS])
     def test_malformed_complete_line_names_its_number(self, tmp_path, bad):
         path = tmp_path / "registry.jsonl"
         good = json.dumps(record(source="edge-00").to_message())
         path.write_text(f"{good}\n\n{bad}\n{good}\n")
         with pytest.raises(DataError, match="line 3"):
             CloudRegistry(path=str(path))
+
+    @settings(max_examples=200, deadline=None)
+    @given(tail=st.binary(max_size=64) | MESSAGES.map(lambda m: json.dumps(m).encode())
+           | st.sampled_from(list(HOSTILE_LINES.values())).map(str.encode),
+           newline=st.booleans())
+    def test_valid_record_then_any_bytes_loads_or_raises_data_error(self, tail, newline):
+        good = json.dumps(record(source="edge-00").to_message()).encode()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "registry.jsonl")
+            with open(path, "wb") as fh:
+                fh.write(good + b"\n" + tail + (b"\n" if newline else b""))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                try:
+                    registry = CloudRegistry(path=path)
+                except GptdfError:
+                    return
+        assert registry.snapshot()[0] == record(source="edge-00")
 
     def test_concurrent_reports_all_appear(self):
         registry = CloudRegistry()
@@ -173,11 +227,25 @@ class TestMessages:
             record(n_points=7)
 
     @pytest.mark.parametrize("line", ["", "not json", "[]", "5", '{"type": "response"}',
-                                      '{"type": "query"}'])
+                                      '{"type": "query"}', *HOSTILE_PARAMS])
     def test_malformed_request_gets_one_rejected_line(self, line):
         replies = handle(CloudRegistry(), line)
         assert len(replies) == 1
         assert json.loads(replies[0])["status"] == "rejected"
+
+    @settings(max_examples=200, deadline=None)
+    @given(msg=MESSAGES)
+    def test_any_object_gets_json_object_replies(self, msg):
+        registry = CloudRegistry()
+        registry.report(record(source="edge-01"))
+        for reply in handle(registry, json.dumps(msg)):
+            assert isinstance(json.loads(reply), dict)
+
+    @settings(max_examples=200, deadline=None)
+    @given(line=st.text() | st.binary().map(lambda b: b.decode("utf-8", errors="replace")))
+    def test_any_line_gets_json_object_replies(self, line):
+        for reply in handle(CloudRegistry(), line):
+            assert isinstance(json.loads(reply), dict)
 
 
 class TestNodeDrivers:

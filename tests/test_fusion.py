@@ -355,18 +355,58 @@ def online_predictions(features, stream, tau):
     return state.models, steps, misses, changes
 
 
-def assert_matches_dense(models, stream, tau, steps):
-    """Every expert's prediction at every step equals the dense
-    `gp_core.predict` on the same window, to 1e-12."""
+def assert_matches_dense(models, stream, tau, steps, checked=None):
+    """Every expert's prediction at every step (or at the `checked` steps)
+    equals the dense `gp_core.predict` on the same window, to 1e-12."""
     wt, wy = deque(maxlen=tau), deque(maxlen=tau)
-    for t, y, preds in zip(stream.timestamps.tolist(), stream.values.tolist(), steps):
-        window = TimeSeries(np.array(wt), np.array(wy)) if wt else None
-        for model, pred in zip(models, preds):
-            ref = gp_core.predict(model, window, t)
-            assert pred.mean == pytest.approx(ref.mean, abs=1e-12)
-            assert pred.variance == pytest.approx(ref.variance, abs=1e-12)
+    for k, (t, y, preds) in enumerate(zip(stream.timestamps.tolist(),
+                                          stream.values.tolist(), steps)):
+        if checked is None or k in checked:
+            window = TimeSeries(np.array(wt), np.array(wy)) if wt else None
+            for model, pred in zip(models, preds):
+                ref = gp_core.predict(model, window, t)
+                assert pred.mean == pytest.approx(ref.mean, abs=1e-12)
+                assert pred.variance == pytest.approx(ref.variance, abs=1e-12)
         wt.append(t)
         wy.append(y)
+
+
+def assert_fused_matches_dense(models, window, t_star, fused):
+    """The per-expert predictions of `fused`, made at `t_star` from
+    `window`, equal the dense `gp_core.predict`, to 1e-12."""
+    for model, (pred, _) in zip(models, fused.per_model):
+        ref = gp_core.predict(model, window, t_star)
+        assert pred.mean == pytest.approx(ref.mean, abs=1e-12)
+        assert pred.variance == pytest.approx(ref.variance, abs=1e-12)
+
+
+def current_window(state):
+    return TimeSeries(np.array(state.window_times), np.array(state.window_values))
+
+
+def checked_step(state, t, y):
+    """One `gptdf_step`, its prediction checked against the dense reference
+    on the window it was made from."""
+    window = current_window(state)
+    fused, _ = gptdf_step(state, (t, y))
+    assert_fused_matches_dense(state.models, window, t, fused)
+
+
+def count_cholesky(monkeypatch):
+    """Count the `np.linalg.cholesky` calls from here until the patch is undone."""
+    calls = []
+    real = np.linalg.cholesky
+
+    def counted(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    return calls
+
+
+def jittered(n, rng):
+    return np.cumsum(1.0 + rng.uniform(-0.45, 0.45, n))
 
 
 class TestBatchedExperts:
@@ -450,3 +490,90 @@ class TestBatchedExperts:
             for (pred, _), r in zip(fused.per_model, ref):
                 assert pred.variance == r.variance == 0.0
                 assert pred.mean == pytest.approx(r.mean, abs=1e-12)
+
+    def test_long_irregular_stream_slides_one_factorization(self, monkeypatch, rng):
+        # Only the first window is factored; every later window's factors
+        # come from the previous step's by appending and dropping a point.
+        n, tau = 1200, 50
+        stream = stream_on(jittered(n, rng), seed=1)
+        calls = count_cholesky(monkeypatch)
+        models, steps, misses, changes = online_predictions(MIXED_FEATURES, stream, tau)
+        monkeypatch.undo()
+        assert calls == [(16, 1, 1)]
+        assert misses == changes == n - 1
+        checked = set(range(0, n, 97)) | {1, 2, tau - 1, tau, tau + 1, tau + 2, n - 1}
+        assert_matches_dense(models, stream, tau, steps, checked)
+
+    def test_full_window_irregular_step_factors_nothing(self, monkeypatch, rng):
+        tau = 12
+        t = jittered(tau + 12, rng)
+        state = ensemble_from_features(MIXED_FEATURES[:4], tau=tau)
+        for k in range(tau + 2):
+            gptdf_step(state, (t[k], math.sin(t[k])))
+        calls = count_cholesky(monkeypatch)
+        for k in range(tau + 2, t.size):
+            checked_step(state, t[k], math.sin(t[k]))
+        assert calls == []
+
+    def test_filling_window_factors_once(self, monkeypatch):
+        tau = 16
+        stream = stream_on(range(tau + 4))
+        calls = count_cholesky(monkeypatch)
+        models, steps, misses, _ = online_predictions(MIXED_FEATURES, stream, tau)
+        monkeypatch.undo()
+        assert misses == tau
+        assert calls == [(16, 1, 1)]
+        assert_matches_dense(models, stream, tau, steps)
+
+    def test_prediction_not_followed_by_its_step(self, monkeypatch, rng):
+        # fused_prediction at t' advances the factors to predict t'; the step
+        # at another t must notice and factor its window afresh, once.
+        tau = 10
+        t = jittered(40, rng)
+        state = ensemble_from_features(MIXED_FEATURES[::2], tau=tau, mean=0.25)
+        for k in range(25):
+            gptdf_step(state, (t[k], math.cos(t[k])))
+        calls = count_cholesky(monkeypatch)
+        t_probe = t[25] - 0.3
+        assert_fused_matches_dense(state.models, current_window(state), t_probe,
+                                   fused_prediction(state, t_probe))
+        for k in range(25, 40):
+            checked_step(state, t[k], math.cos(t[k]))
+        assert len(calls) == 1
+
+    def test_window_filled_by_hand(self, monkeypatch, rng):
+        tau = 15
+        t = jittered(tau + 10, rng)
+        state = ensemble_from_features(MIXED_FEATURES, tau=tau)
+        for k in range(3):
+            gptdf_step(state, (t[k] - 100.0, 0.0))
+        # replace the stepped window by hand: its factors no longer apply
+        state.window_times.extend(t[:tau].tolist())
+        state.window_values.extend(np.linspace(-1.0, 1.0, tau).tolist())
+        calls = count_cholesky(monkeypatch)
+        for k in range(tau, t.size):
+            checked_step(state, t[k], float(k % 3))
+        assert len(calls) == 1
+
+    def test_window_of_one_point(self, monkeypatch, rng):
+        stream = stream_on(jittered(30, rng))
+        calls = count_cholesky(monkeypatch)
+        models, steps, misses, changes = online_predictions(MIXED_FEATURES, stream, 1)
+        monkeypatch.undo()
+        assert misses == changes == 29
+        assert calls == [(16, 1, 1)]
+        assert_matches_dense(models, stream, 1, steps)
+
+    def test_nonpositive_new_diagonal_refactors(self, monkeypatch, rng):
+        tau = 8
+        t = jittered(tau + 6, rng)
+        state = ensemble_from_features(MIXED_FEATURES[:3], tau=tau)
+        for k in range(tau + 2):
+            gptdf_step(state, (t[k], 0.1 * k))
+        # rows far longer than the prior standard deviation leave no
+        # positive d^2 for the appended point
+        times, t_star, factors, rows = state._factors
+        state._factors = (times, t_star, factors, 1e3 * rows)
+        calls = count_cholesky(monkeypatch)
+        checked_step(state, t[tau + 2], 0.0)
+        assert len(calls) == 1

@@ -233,14 +233,18 @@ class TestPredict:
                 assert var >= prev - 1e-9
                 prev = var
 
-    def test_variance_clamp_counter(self, rng):
+    def test_variance_clamp_counter(self, monkeypatch):
+        # The Cholesky ridge keeps k(t*, t*) - k*'V^-1 k* positive for real
+        # Matern-5/2 inputs, even zero noise and near-duplicate times; a
+        # prior variance below what the window explains drives the clamp.
+        real = gp_core.eval_kernel
+        monkeypatch.setattr(gp_core, "eval_kernel", lambda k, a, b: real(k, a, b) - 10.0)
         before = gp_core.diagnostics["variance_clamps"]
-        # near-duplicate inputs with zero noise push the variance negative
         t = np.array([0.0, 1e-7, 1.0])
         model = GPModel(Matern52(1.0, 5.0), noise_std=0.0)
         pred = predict(model, TimeSeries(t, [0.1, 0.1, 0.2]), 0.5)
-        assert pred.variance >= 0.0
-        assert gp_core.diagnostics["variance_clamps"] >= before
+        assert pred.variance == 0.0
+        assert gp_core.diagnostics["variance_clamps"] == before + 1
 
 
 class TestSamplePrior:
