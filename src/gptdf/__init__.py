@@ -43,7 +43,7 @@ from .fusion import (
     StepRecord,
     confidence_interval,
     ensemble_from_features,
-    fuse,
+    fuse_predictions,
     fused_prediction,
     gptdf_step,
     predictive_weights,

@@ -149,7 +149,6 @@ class PreparedStream:
     series: TimeSeries
     offsets: np.ndarray
     scales: np.ndarray
-    mode: str
 
     def to_original_value(self, step, z):
         return z * self.scales[step] + self.offsets[step]
@@ -171,11 +170,11 @@ def prepare_stream(data, mode="online"):
     """
     if mode == "none":
         n = len(data)
-        return PreparedStream(data, np.zeros(n), np.ones(n), mode)
+        return PreparedStream(data, np.zeros(n), np.ones(n))
     if mode == "offline":
         series, stats = normalize(data)
         n = len(data)
-        return PreparedStream(series, np.full(n, stats.mean), np.full(n, stats.std), mode)
+        return PreparedStream(series, np.full(n, stats.mean), np.full(n, stats.std))
     if mode != "online":
         raise ConfigError(f"unknown normalization mode {mode!r}")
 
@@ -196,7 +195,7 @@ def prepare_stream(data, mode="online"):
         mean += delta / count
         m2 += delta * (x - mean)
     series = TimeSeries(data.timestamps, (y - offsets) / scales)
-    return PreparedStream(series, offsets, scales, "online")
+    return PreparedStream(series, offsets, scales)
 
 
 def generate_synthetic(feature, n, seed):

@@ -59,6 +59,9 @@ MIN_REPORT_POINTS = gp_core.MIN_FIT_POINTS
 SOCKET_TIMEOUT_S = 10.0
 # Longest request line a server reads; a longer one is cut there and rejected.
 MAX_LINE_BYTES = 1 << 16
+# Longest rejection reason a reply carries: a reason that quotes a hostile
+# request is cut to an excerpt, so a reply stays small whatever the request.
+MAX_REASON_CHARS = 200
 
 # Fallback expert for a target whose query returns nothing (normalized data)
 DEFAULT_PRIOR_FEATURE = TemporalFeature(sigma_f=1.0, sigma_l=1.0, sigma_n=0.1)
@@ -232,7 +235,7 @@ class CloudRegistry:
 def _status(accepted, reason=""):
     msg = {"type": "response", "status": "ok" if accepted else "rejected"}
     if reason:
-        msg["reason"] = reason
+        msg["reason"] = reason[:MAX_REASON_CHARS]
     return [encode_message(msg)]
 
 

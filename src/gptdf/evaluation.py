@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import io
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -36,10 +35,6 @@ REPORT_COLUMNS = ("method", "nll", "mae", "mse", "delay", "error")
 SERIES_COLUMNS = ("step", "t", "y", "mean", "var", "lo", "hi")
 
 
-def _distribution(pred):
-    return pred.distribution if isinstance(pred, fusion.FusedPrediction) else pred
-
-
 def _check_lengths(a, b):
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} predictions vs {len(b)} truths")
@@ -51,10 +46,14 @@ def nll(predictions, truths):
     """Mean negative log Gaussian density of the truths under the
     predictions (per-step mean, not a sum)."""
     _check_lengths(predictions, truths)
-    total = 0.0
-    for pred, y in zip(predictions, truths):
-        total -= gaussian_log_density(_distribution(pred), y)
-    return total / len(truths)
+    dists = [p.distribution if isinstance(p, fusion.FusedPrediction) else p
+             for p in predictions]
+    log_p = gaussian_log_density(np.array([d.mean for d in dists]),
+                                 np.array([d.variance for d in dists]),
+                                 np.asarray(truths, dtype=float))
+    # Summed in step order, not numpy's pairwise order: the mean is the same
+    # float that a running total over the steps gives.
+    return float(-np.cumsum(log_p)[-1] / log_p.size)
 
 
 def mae(predicted_means, truths):
@@ -215,9 +214,6 @@ class BenchmarkReport:
                             [repr(d[c]) if isinstance(d[c], float) else d[c]
                              for c in REPORT_COLUMNS[1:-1]] + [d["error"]])
         return buf.getvalue()
-
-    def to_json(self):
-        return json.dumps([row.as_dict() for row in self.rows], indent=2, sort_keys=True)
 
     def write_series_csvs(self, out_dir):
         """One plot-ready CSV per method: truth, predictive mean/variance,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +33,6 @@ __all__ = [
     "predictive_weights",
     "update_weights",
     "gaussian_log_density",
-    "fuse",
     "fuse_predictions",
     "confidence_interval",
     "fused_prediction",
@@ -41,7 +40,6 @@ __all__ = [
     "run_stream",
     "log_record",
     "write_prediction_log",
-    "PREDICTION_LOG_FIELDS",
 ]
 
 # Post-update floor for each model weight is WEIGHT_FLOOR / M; keeps every
@@ -51,9 +49,6 @@ VARIANCE_FLOOR = 1e-12
 
 DEFAULT_ALPHA = 0.9
 DEFAULT_TAU = 50
-
-PREDICTION_LOG_FIELDS = ("step", "t", "fused_mean", "fused_variance",
-                         "interval_low", "interval_high", "omega_hat")
 
 
 class WeightCollapseWarning(RuntimeWarning):
@@ -98,26 +93,11 @@ def update_weights(omega_hat, likelihoods):
     return w / w.sum()
 
 
-def gaussian_log_density(pred, y):
-    """Log density of y under the prediction, with the variance floored."""
-    v = max(pred.variance, VARIANCE_FLOOR)
-    return -0.5 * ((float(y) - pred.mean) ** 2 / v + math.log(2.0 * math.pi * v))
-
-
-def fuse(per_model, omega_hat):
-    """Weighted product-of-experts fusion of Gaussian predictions.
-
-    With precisions P_j = 1/variance_j, the fused mean is
-    sum(m_j w_j P_j) / sum(w_j P_j) and the fused variance 1 / sum(w_j P_j).
-    """
-    oh = np.asarray(omega_hat, dtype=float)
-    if len(per_model) != oh.size:
-        raise ValueError("predictions and weights must have equal length")
-    means = np.array([p.mean for p in per_model])
-    variances = np.maximum(np.array([p.variance for p in per_model]), VARIANCE_FLOOR)
-    wp = oh / variances
-    denom = wp.sum()
-    return PredictiveDistribution(float((means * wp).sum() / denom), float(1.0 / denom))
+def gaussian_log_density(mean, variance, y):
+    """Log density of y under N(mean, variance), with the variance floored.
+    Takes scalars or M-vectors, elementwise."""
+    v = np.maximum(variance, VARIANCE_FLOOR)
+    return -0.5 * ((y - mean) ** 2 / v + np.log(2.0 * np.pi * v))
 
 
 def confidence_interval(pred, k=3.0):
@@ -126,24 +106,49 @@ def confidence_interval(pred, k=3.0):
     return (pred.mean - k * sd, pred.mean + k * sd)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FusedPrediction:
-    """Fused Gaussian plus the per-model predictions with the predictive
-    weights used to fuse them, and the 3-sigma interval."""
+    """Fused Gaussian and its 3-sigma interval, with the M-vectors of
+    per-expert means and variances and the predictive weights that fused
+    them. The vectors are the record's own copies. Records compare by
+    identity: array fields have no single truth value."""
 
     distribution: PredictiveDistribution
-    per_model: tuple
     interval_3sigma: tuple
+    means: np.ndarray
+    variances: np.ndarray
+    omega_hat: np.ndarray
 
     @property
-    def omega_hat(self):
-        return tuple(w for _, w in self.per_model)
+    def per_model(self):
+        """(PredictiveDistribution, weight) per expert, built from the vectors."""
+        return tuple((PredictiveDistribution(m, v), w) for m, v, w in
+                     zip(self.means.tolist(), self.variances.tolist(), self.omega_hat.tolist()))
 
 
-def fuse_predictions(per_model, omega_hat):
-    dist = fuse(per_model, omega_hat)
-    pairs = tuple((p, float(w)) for p, w in zip(per_model, np.asarray(omega_hat, dtype=float)))
-    return FusedPrediction(dist, pairs, confidence_interval(dist, 3.0))
+def fuse_predictions(means, variances, omega_hat):
+    """Weighted product-of-experts fusion of M Gaussian expert predictions.
+
+    With precisions P_j = 1/variance_j, the fused mean is
+    sum(m_j w_j P_j) / sum(w_j P_j) and the fused variance 1 / sum(w_j P_j).
+    """
+    means = np.array(means, dtype=float)
+    variances = np.array(variances, dtype=float)
+    omega_hat = np.array(omega_hat, dtype=float)
+    if means.ndim != 1 or not means.size or not means.shape == variances.shape == omega_hat.shape:
+        raise ValueError("means, variances and weights must be vectors of equal length")
+    if not (np.isfinite(means) & (0.0 <= variances) & (variances < np.inf)).all():
+        raise ValueError(f"invalid expert predictions: means={means}, variances={variances}")
+    wp = omega_hat / np.maximum(variances, VARIANCE_FLOOR)
+    denom = wp.sum()
+    dist = PredictiveDistribution(float((means * wp).sum() / denom), float(1.0 / denom))
+    return FusedPrediction(dist, confidence_interval(dist, 3.0), means, variances, omega_hat)
+
+
+# The last cache miss of `_window_gains`: the gain rows and unclamped variances
+# under their offsets key, and what `_slid_factors` slides the next window from
+# (factors None when they carry escalated jitter).
+_WindowCache = namedtuple("_WindowCache", "key gains variances times t_star factors rows")
 
 
 @dataclass
@@ -154,7 +159,7 @@ class EnsembleState:
     Single-writer: `gptdf_step` mutates the state in place. `weights` holds
     the posterior model weights; `omega_hat` the flattened predictive weights
     that the next fusion will use. The models are fixed for the life of the
-    state: the gain cache and the window factors depend on the window alone.
+    state: the window cache depends on the window alone.
     """
 
     models: list
@@ -165,13 +170,7 @@ class EnsembleState:
     window_times: deque = field(default=None)
     window_values: deque = field(default=None)
     step: int = 0
-    # (offsets key, gain rows, unclamped variances) of the last window the
-    # experts were conditioned on; see `_window_gains`.
-    _gain_cache: tuple = field(default=None, init=False, repr=False, compare=False)
-    # (window times, predicted time, lower factors L_j, rows L_j^-1 k*_j) of
-    # the last cache miss, kept so the next window's factors can be slid from
-    # them; None when they carry escalated jitter. See `_slid_factors`.
-    _factors: tuple = field(default=None, init=False, repr=False, compare=False)
+    _window_cache: _WindowCache = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.models) < 1:
@@ -193,10 +192,6 @@ class EnsembleState:
             self.window_times = deque(maxlen=self.tau)
         if self.window_values is None:
             self.window_values = deque(maxlen=self.tau)
-
-    @property
-    def n_models(self):
-        return len(self.models)
 
 
 def ensemble_from_features(features, tau=DEFAULT_TAU, alpha=DEFAULT_ALPHA, mean=0.0):
@@ -258,9 +253,9 @@ def _slid_factors(state, times, diagonal):
     negative, which the solves do not mind. Any other window, or a
     d_j^2 <= 0, gives None.
     """
-    if state._factors is None:
+    if state._window_cache is None or state._window_cache.factors is None:
         return None
-    prev_times, prev_t, factors, rows = state._factors
+    *_, prev_times, prev_t, factors, rows = state._window_cache
     n = rows.shape[1]
     drop = times.size == n
     if not np.array_equal(times, np.append(prev_times[1:] if drop else prev_times, prev_t)):
@@ -298,9 +293,9 @@ def _window_gains(state, t_star):
     times = np.array(state.window_times)
     offsets = t_star - times
     key = offsets.tobytes()
-    cached = state._gain_cache
-    if cached is not None and cached[0] == key:
-        return cached[1], cached[2]
+    cached = state._window_cache
+    if cached is not None and cached.key == key:
+        return cached.gains, cached.variances
 
     models = state.models
     sf = np.array([m.kernel.output_scale for m in models])[:, None]
@@ -322,16 +317,16 @@ def _window_gains(state, t_star):
         w = rows[j] = _solve_upper(L[j].T, k_star[j], trans=1)
         gains[j] = _solve_upper(L[j].T, w, trans=0)
         variances[j] = gp_core.eval_kernel(models[j].kernel, t_star, t_star) - w @ w
-    state._gain_cache = (key, gains, variances)
     # A factor with escalated jitter is not the first-ridge factor that
     # `_slid_factors` extends, so it is never carried over.
-    state._factors = (times, t_star, L, rows) if first_ridge else None
+    state._window_cache = _WindowCache(key, gains, variances, times, t_star,
+                                       L if first_ridge else None, rows)
     return gains, variances
 
 
 def fused_prediction(state, t_star):
     """Fused prediction at `t_star` from the current window and predictive
-    weights. Does not advance the state; it only refreshes the gain cache.
+    weights. Does not advance the state; it only refreshes the window cache.
 
     Each expert's prediction equals `gp_core.predict(model, window, t_star)`,
     the dense single-model reference, computed for all experts at once.
@@ -349,8 +344,7 @@ def fused_prediction(state, t_star):
     else:
         means = mu
         variances = np.array([gp_core.eval_kernel(m.kernel, t_star, t_star) for m in models])
-    preds = [PredictiveDistribution(m, v) for m, v in zip(means.tolist(), variances.tolist())]
-    return fuse_predictions(preds, state.omega_hat)
+    return fuse_predictions(means, variances, state.omega_hat)
 
 
 def gptdf_step(state, new_obs):
@@ -380,7 +374,7 @@ def gptdf_step(state, new_obs):
         # Likelihoods relative to the best expert's: the update is invariant
         # to that scale, and one surprising observation can no longer
         # underflow every density and collapse the update.
-        log_lik = np.array([gaussian_log_density(p, y) for p, _ in fused.per_model])
+        log_lik = gaussian_log_density(fused.means, fused.variances, y)
         state.weights = update_weights(state.omega_hat, np.exp(log_lik - log_lik.max()))
     state.omega_hat = predictive_weights(state.weights, state.alpha)
     state.window_times.append(t)
@@ -424,7 +418,7 @@ def log_record(record):
         "fused_variance": dist.variance,
         "interval_low": low,
         "interval_high": high,
-        "omega_hat": list(record.prediction.omega_hat),
+        "omega_hat": record.prediction.omega_hat.tolist(),
     }
 
 

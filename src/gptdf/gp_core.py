@@ -160,20 +160,20 @@ def build_noisy_covariance(K, noise_std):
     return K + (noise_std ** 2) * np.eye(K.shape[0])
 
 
-def _cholesky_with_jitter(V, jitter_initial=JITTER_INITIAL, jitter_max=JITTER_MAX):
+def _cholesky_with_jitter(V):
     """Lower Cholesky factor of V + jitter*mean(diag(V))*I.
 
-    The jitter factor starts at `jitter_initial` and escalates tenfold until
-    factorization succeeds or `jitter_max` is exceeded.
+    The jitter factor starts at JITTER_INITIAL and escalates tenfold until
+    factorization succeeds or JITTER_MAX is exceeded.
     """
     V = np.asarray(V, dtype=float)
     n = V.shape[0]
     scale = float(np.trace(V)) / n
     if not (scale > 0.0 and math.isfinite(scale)):
         scale = 1.0
-    factor = jitter_initial
+    factor = JITTER_INITIAL
     eye = np.eye(n)
-    while factor <= jitter_max:
+    while factor <= JITTER_MAX:
         try:
             return sla.cholesky(V + factor * scale * eye, lower=True)
         except sla.LinAlgError:

@@ -18,6 +18,7 @@ from gptdf import edge_sim, gp_core
 from gptdf.data_io import generate_synthetic
 from gptdf.edge_sim import (
     ENVELOPE_FIELDS,
+    MAX_REASON_CHARS,
     MESSAGE_FIELDS,
     MESSAGE_TYPES,
     CloudRegistry,
@@ -69,6 +70,15 @@ HOSTILE_LINES = {
     "huge-scale": json.dumps({**record().to_message(), "sigma_f": 10 ** 400}),
 }
 HOSTILE_PARAMS = [pytest.param(line, id=name) for name, line in HOSTILE_LINES.items()]
+# Requests whose rejection reason would quote about 100 KB of the request
+LONG = "x" * 100_000
+LONG_REASON_PARAMS = [pytest.param(line, id=name) for name, line in {
+    "bad-json": "{" + LONG,
+    "deep-nesting": "[" * 100_000,
+    "string-limit": json.dumps({"type": "query", "source_id": "target", "limit": LONG}),
+    "response-type": json.dumps({"type": "response", "source_id": LONG}),
+    "long-sigma-f": json.dumps({**record().to_message(), "sigma_f": LONG}),
+}.items()]
 
 
 def quick_fit():
@@ -227,11 +237,14 @@ class TestMessages:
             record(n_points=7)
 
     @pytest.mark.parametrize("line", ["", "not json", "[]", "5", '{"type": "response"}',
-                                      '{"type": "query"}', *HOSTILE_PARAMS])
+                                      '{"type": "query"}', *HOSTILE_PARAMS,
+                                      *LONG_REASON_PARAMS])
     def test_malformed_request_gets_one_rejected_line(self, line):
         replies = handle(CloudRegistry(), line)
         assert len(replies) == 1
         assert json.loads(replies[0])["status"] == "rejected"
+        assert 0 < len(json.loads(replies[0])["reason"]) <= MAX_REASON_CHARS
+        assert len(replies[0]) < 400
 
     @settings(max_examples=200, deadline=None)
     @given(msg=MESSAGES)
@@ -240,12 +253,14 @@ class TestMessages:
         registry.report(record(source="edge-01"))
         for reply in handle(registry, json.dumps(msg)):
             assert isinstance(json.loads(reply), dict)
+            assert len(json.loads(reply).get("reason", "")) <= MAX_REASON_CHARS
 
     @settings(max_examples=200, deadline=None)
     @given(line=st.text() | st.binary().map(lambda b: b.decode("utf-8", errors="replace")))
     def test_any_line_gets_json_object_replies(self, line):
         for reply in handle(CloudRegistry(), line):
             assert isinstance(json.loads(reply), dict)
+            assert len(json.loads(reply).get("reason", "")) <= MAX_REASON_CHARS
 
 
 class TestNodeDrivers:

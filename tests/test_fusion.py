@@ -17,7 +17,6 @@ from gptdf.fusion import (
     WeightCollapseWarning,
     confidence_interval,
     ensemble_from_features,
-    fuse,
     fuse_predictions,
     fused_prediction,
     gaussian_log_density,
@@ -108,65 +107,75 @@ class TestUpdateWeights:
 
 class TestDensity:
     def test_standard_normal_at_mean(self):
-        pred = PredictiveDistribution(0.0, 1.0)
-        assert math.exp(gaussian_log_density(pred, 0.0)) == \
+        assert math.exp(gaussian_log_density(0.0, 1.0, 0.0)) == \
             pytest.approx(1.0 / math.sqrt(2 * math.pi))
 
     def test_translation_invariance(self):
-        assert math.exp(gaussian_log_density(PredictiveDistribution(2.0, 1.0), 2.0)) == \
+        assert math.exp(gaussian_log_density(2.0, 1.0, 2.0)) == \
             pytest.approx(1.0 / math.sqrt(2 * math.pi))
 
     def test_wider_variance(self):
-        assert math.exp(gaussian_log_density(PredictiveDistribution(0.0, 4.0), 0.0)) == \
+        assert math.exp(gaussian_log_density(0.0, 4.0, 0.0)) == \
             pytest.approx(1.0 / math.sqrt(8 * math.pi))
 
     def test_zero_variance_floored(self):
-        pred = PredictiveDistribution(0.0, 0.0)
-        assert math.isfinite(math.exp(gaussian_log_density(pred, 0.0)))
+        assert math.isfinite(math.exp(gaussian_log_density(0.0, 0.0, 0.0)))
+
+    def test_vectors_match_scalars(self, rng):
+        means, variances = rng.normal(size=6), np.append(rng.uniform(0.1, 3.0, 5), 0.0)
+        np.testing.assert_allclose(gaussian_log_density(means, variances, 0.3),
+                                   [gaussian_log_density(m, v, 0.3)
+                                    for m, v in zip(means, variances)], rtol=1e-15)
 
 
 class TestFuse:
     def test_single_model_collapse(self):
-        pred = PredictiveDistribution(1.3, 0.7)
-        fused = fuse([pred], [1.0])
+        fused = fuse_predictions([1.3], [0.7], [1.0]).distribution
         assert fused.mean == pytest.approx(1.3, abs=1e-12)
         assert fused.variance == pytest.approx(0.7, abs=1e-12)
 
     def test_equal_precision_pair(self):
-        fused = fuse([PredictiveDistribution(0.0, 1.0), PredictiveDistribution(2.0, 1.0)],
-                     [0.5, 0.5])
+        fused = fuse_predictions([0.0, 2.0], [1.0, 1.0], [0.5, 0.5]).distribution
         assert fused.mean == pytest.approx(1.0)
         assert fused.variance == pytest.approx(1.0)
 
     def test_unequal_precision_pair(self):
-        fused = fuse([PredictiveDistribution(0.0, 1.0), PredictiveDistribution(2.0, 4.0)],
-                     [0.5, 0.5])
+        fused = fuse_predictions([0.0, 2.0], [1.0, 4.0], [0.5, 0.5]).distribution
         assert fused.mean == pytest.approx(0.4)
         assert fused.variance == pytest.approx(1.6)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            fuse([PredictiveDistribution(0.0, 1.0)], [0.5, 0.5])
+            fuse_predictions([0.0], [1.0], [0.5, 0.5])
+
+    @pytest.mark.parametrize("means, variances, omega_hat", [
+        pytest.param([0.0, math.nan], [1.0, 1.0], [0.5, 0.5], id="nan-mean"),
+        pytest.param([0.0, 1.0], [1.0, math.inf], [0.5, 0.5], id="inf-variance"),
+        pytest.param([0.0, 1.0], [1.0, -1e-3], [0.5, 0.5], id="negative-variance"),
+        pytest.param([0.0, 1.0], [1.0], [0.5, 0.5], id="fewer-variances"),
+        pytest.param([0.0, 1.0], [1.0, 1.0], [1.0], id="fewer-weights"),
+    ])
+    def test_invalid_predictions_rejected(self, means, variances, omega_hat):
+        with pytest.raises(ValueError):
+            fuse_predictions(means, variances, omega_hat)
 
     @settings(max_examples=60, deadline=None)
     @given(w=simplexes, seed=st.integers(0, 2**31))
     def test_precision_additivity_and_bound(self, w, seed):
         rng = np.random.default_rng(seed)
-        preds = [PredictiveDistribution(float(rng.normal()), float(rng.uniform(0.1, 5.0)))
-                 for _ in range(w.size)]
-        fused = fuse(preds, w)
-        precisions = np.array([wj / p.variance for wj, p in zip(w, preds)])
+        means, variances = rng.normal(size=w.size), rng.uniform(0.1, 5.0, w.size)
+        fused = fuse_predictions(means, variances, w).distribution
+        precisions = w / variances
         assert fused.variance == pytest.approx(1.0 / precisions.sum(), rel=1e-12)
-        assert fused.variance <= min(p.variance / wj for wj, p in zip(w, preds)) + 1e-12
+        assert fused.variance <= min(variances / w) + 1e-12
 
     def test_permutation_leaves_fusion_unchanged(self, rng):
-        preds = [PredictiveDistribution(float(rng.normal()), float(rng.uniform(0.1, 3.0)))
-                 for _ in range(5)]
+        means, variances = rng.normal(size=5), rng.uniform(0.1, 3.0, 5)
         w = rng.uniform(0.1, 1.0, 5)
         w /= w.sum()
-        base = fuse(preds, w)
+        base = fuse_predictions(means, variances, w).distribution
         perm = rng.permutation(5)
-        shuffled = fuse([preds[i] for i in perm], w[perm])
+        shuffled = fuse_predictions(means[perm], variances[perm], w[perm]).distribution
         assert shuffled.mean == pytest.approx(base.mean, abs=1e-12)
         assert shuffled.variance == pytest.approx(base.variance, abs=1e-12)
 
@@ -297,8 +306,7 @@ class TestGptdfStep:
 
 class TestFusedPredictionHelpers:
     def test_interval_matches_three_sigma(self, rng):
-        preds = [PredictiveDistribution(1.0, 0.5), PredictiveDistribution(0.0, 2.0)]
-        fused = fuse_predictions(preds, [0.4, 0.6])
+        fused = fuse_predictions([1.0, 0.0], [0.5, 2.0], [0.4, 0.6])
         lo, hi = fused.interval_3sigma
         sd = math.sqrt(fused.distribution.variance)
         assert lo == pytest.approx(fused.distribution.mean - 3 * sd)
@@ -313,6 +321,37 @@ class TestFusedPredictionHelpers:
                              "interval_low", "interval_high", "omega_hat"]
         assert rec["step"] == 0
         assert len(rec["omega_hat"]) == 2
+
+    def test_per_model_equals_the_vectors(self):
+        fused = fuse_predictions([1.0, 0.0, -0.5], [0.5, 2.0, 0.0], [0.2, 0.3, 0.5])
+        assert fused.per_model == ((PredictiveDistribution(1.0, 0.5), 0.2),
+                                   (PredictiveDistribution(0.0, 2.0), 0.3),
+                                   (PredictiveDistribution(-0.5, 0.0), 0.5))
+        assert [p.mean for p, _ in fused.per_model] == fused.means.tolist()
+        assert [p.variance for p, _ in fused.per_model] == fused.variances.tolist()
+        assert [w for _, w in fused.per_model] == fused.omega_hat.tolist()
+
+    def test_inputs_are_copied(self):
+        means, variances, omega_hat = np.array([1.0, 0.0]), np.array([0.5, 2.0]), np.array([0.4, 0.6])
+        fused = fuse_predictions(means, variances, omega_hat)
+        means[:] = variances[:] = omega_hat[:] = 7.0
+        assert fused.means.tolist() == [1.0, 0.0]
+        assert fused.variances.tolist() == [0.5, 2.0]
+        assert fused.omega_hat.tolist() == [0.4, 0.6]
+
+    def test_earlier_records_unchanged_by_later_steps(self):
+        # a regular grid: once the window is full every step reuses the
+        # cached gains and variances, and the weights move every step
+        state = ensemble_from_features(MIXED_FEATURES[:4], tau=5)
+        records = run_stream(state, stream_on(range(30)))
+        frozen = [(r.prediction.means.copy(), r.prediction.variances.copy(),
+                   r.prediction.omega_hat.copy()) for r in records]
+        more = run_stream(state, stream_on(range(30, 40), seed=1))
+        assert not np.array_equal(more[-1].prediction.omega_hat, records[-1].prediction.omega_hat)
+        for r, (means, variances, omega_hat) in zip(records, frozen):
+            np.testing.assert_array_equal(r.prediction.means, means)
+            np.testing.assert_array_equal(r.prediction.variances, variances)
+            np.testing.assert_array_equal(r.prediction.omega_hat, omega_hat)
 
     def test_pure_prediction_does_not_advance_state(self):
         state = ensemble_from_features([TemporalFeature(1, 1, 0.1)])
@@ -348,9 +387,9 @@ def online_predictions(features, stream, tau):
             offsets = (t - np.array(state.window_times)).tobytes()
             changes += offsets != previous
             previous = offsets
-        cache = state._gain_cache
+        cache = state._window_cache
         fused, state = gptdf_step(state, (t, y))
-        misses += state._gain_cache is not cache
+        misses += state._window_cache is not cache
         steps.append([pred for pred, _ in fused.per_model])
     return state.models, steps, misses, changes
 
@@ -572,8 +611,7 @@ class TestBatchedExperts:
             gptdf_step(state, (t[k], 0.1 * k))
         # rows far longer than the prior standard deviation leave no
         # positive d^2 for the appended point
-        times, t_star, factors, rows = state._factors
-        state._factors = (times, t_star, factors, 1e3 * rows)
+        state._window_cache = state._window_cache._replace(rows=1e3 * state._window_cache.rows)
         calls = count_cholesky(monkeypatch)
         checked_step(state, t[tau + 2], 0.0)
         assert len(calls) == 1
