@@ -19,6 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 from scipy import linalg as sla
+from scipy.linalg import lapack
 from scipy import optimize as sopt
 
 from .errors import DataError, NumericalError
@@ -390,27 +391,58 @@ _SDE_C, _SDE_QPOLY = _sde_constants()
 _SDE_START = [0.0] * 4 + _SDE_C.tolist()
 # 1/j! for j = 5..20: the terms of the P(5, x) series that matter for x < 1.
 _SERIES_COEF = np.array([1.0 / math.factorial(j) for j in range(5, 21)])
+# Against the powers u^0..u^4: the d_j of the six entries of Q, then
+# 2^j / j!, whose sum is the head sum_{j<5} x^j / j! of exp(x) at x = 2u.
+_POWER_COEF = np.vstack([_SDE_QPOLY.T, [2.0 ** j / math.factorial(j) for j in range(5)]])
 # Complex-step size in log-parameter space.
 _CSTEP = 1e-20
+# Relative change of S and of each gain, real and imaginary parts apart, below
+# which a filter on a constant transition counts as settled. The imaginary
+# parts carry the gradient and settle later than the real parts.
+_SETTLED = 1e-14
 
 
-def _gamma5(x):
-    """P(5, x) = 1 - exp(-x) sum_{j<5} x^j / j!, by its power series where
-    that difference would cancel (x < 1). Analytic, so complex steps pass."""
-    small = x.real < 1.0
-    xs = np.where(small, x, 0.0)
-    series = np.exp(-xs) * (np.vander(xs, 21, increasing=True)[:, 5:] @ _SERIES_COEF)
-    direct = 1.0 - np.exp(-x) * (1.0 + x * (1.0 + x / 2.0 * (1.0 + x / 3.0 * (1.0 + x / 4.0))))
-    return np.where(small, series, direct)
+def _powers(x, k):
+    """Rows x^0..x^k of the vector x, each block of powers the product of
+    the one before with the highest power so far: a few vector products,
+    where `np.vander` accumulates one row of x at a time."""
+    p = np.empty((k + 1, x.size), dtype=x.dtype)
+    p[0] = 1.0
+    p[1] = x
+    j = 1
+    while j < k:
+        m = min(j, k - j)
+        np.multiply(p[1:m + 1], p[j], out=p[j + 1:j + m + 1])
+        j += m
+    return p
 
 
 def _transition_rows(u):
     """One row per scaled gap in `u`: u, u^2/2, exp(-u) and exp(-2u), which
-    give A, then the upper triangle of Q."""
-    e2 = np.exp(-2.0 * u)
-    Q = (_gamma5(2.0 * u)[:, None] * _SDE_C
-         + e2[:, None] * (np.vander(u, 5, increasing=True) @ _SDE_QPOLY))
-    return np.column_stack([u, 0.5 * u * u, np.exp(-u), e2, Q])
+    give A, then the upper triangle of Q. Analytic, so complex steps pass.
+
+    P(5, x) = 1 - exp(-x) sum_{j<5} x^j / j! is taken from its power series
+    where that difference would cancel (x < 1). The exponentials come before
+    the matrix products: after a BLAS call, numpy's complex exp can run
+    several times slower until a vectorized ufunc such as `2.0 * u` runs.
+    """
+    x = 2.0 * u
+    small = x.real < 1.0
+    xs = np.where(small, x, 0.0)
+    e1 = np.exp(-u)
+    e2 = np.exp(-x)
+    es = np.exp(-xs)
+    poly = _POWER_COEF @ _powers(u, 4)
+    gamma5 = 1.0 - e2 * poly[6]
+    if small.any():
+        gamma5 = np.where(small, es * (_SERIES_COEF @ _powers(xs, 20)[5:]), gamma5)
+    rows = np.empty((10, u.size), dtype=complex)
+    rows[0] = u
+    rows[1] = 0.5 * u * u
+    rows[2] = e1
+    rows[3] = e2
+    rows[4:] = _SDE_C[:, None] * gamma5 + e2 * poly[:6]
+    return rows.T
 
 
 def _kalman_terms(y, rows, r):
@@ -422,12 +454,21 @@ def _kalman_terms(y, rows, r):
 
     The S_k are the squared pivots of the Cholesky factor of the noisy
     covariance in time order, so these sums are log|V| and y' V^-1 y.
+
+    `rows` ends in a run of one row object that appears nowhere before the
+    run. On that run the recursion for S and the gains does not depend on y;
+    once they stop changing, `_steady_tail` gives the remaining sums.
     """
     m0 = m1 = m2 = 0.0
     p00 = p01 = p02 = p11 = p12 = p22 = 0.0
+    s0 = g0 = g1 = g2 = 0.0
     log_det = quad = 0.0
     log = cmath.log
-    for yk, (a, b, e, e2, q00, q01, q02, q11, q12, q22) in zip(y, rows):
+    tol = _SETTLED
+    steady = rows[-1]
+    ys = iter(y)
+    for yk, row in zip(ys, rows):
+        a, b, e, e2, q00, q01, q02, q11, q12, q22 = row
         # predict: m <- e U m, P <- e^2 U P U' + Q, with U = I + a J + b J^2
         m0 = e * (m0 + a * m1 + b * m2)
         m1 = e * (m1 + a * m2)
@@ -460,7 +501,65 @@ def _kalman_terms(y, rows, r):
         p00 -= k0 * p00
         log_det += log(s)
         quad += v * v / s
+        if row is steady:
+            # settled: S and every gain, real and imaginary parts, as at the
+            # previous step (the first step of the run compares against 0)
+            d = s - s0
+            if abs(d.real) <= tol * s.real and abs(d.imag) <= tol * abs(s.imag):
+                d0, d1, d2 = k0 - g0, k1 - g1, k2 - g2
+                if (abs(d0.real) <= tol * abs(k0.real) and abs(d0.imag) <= tol * abs(k0.imag)
+                        and abs(d1.real) <= tol * abs(k1.real)
+                        and abs(d1.imag) <= tol * abs(k1.imag)
+                        and abs(d2.real) <= tol * abs(k2.real)
+                        and abs(d2.imag) <= tol * abs(k2.imag)):
+                    rest = np.fromiter(ys, float)  # zip has taken this step's y
+                    if rest.size:
+                        tail_det, tail_quad = _steady_tail(rest, (a, b, e), s, (k0, k1, k2),
+                                                           (m0, m1, m2))
+                        log_det += tail_det
+                        quad += tail_quad
+                    break
+            s0, g0, g1, g2 = s, k0, k1, k2
     return log_det, quad
+
+
+def _steady_tail(y, transition, s, gains, mean):
+    """(sum log S, sum v^2 / S) over the observations `y` that follow a
+    settled filter: innovation variance `s`, gains `gains`, posterior mean
+    `mean`, and the constant transition e U with (a, b, e) = `transition`.
+
+    Then the innovations obey A(z) v = B(z) y, with B(z) = (1 - e/z)^3 the
+    characteristic polynomial of e U and A(z) that of the closed loop
+    e U (I - g h'); the filter's state enters as the zero-input response
+    c_j (the innovations of zero observations), which adds
+    (c0, c1 + a1 c0, c2 + a1 c1 + a2 c0) to the first three right-hand
+    sides. A(z) v = rhs is one unit lower-triangular banded Toeplitz solve.
+    """
+    a, b, e = transition
+    k0, k1, k2 = gains
+    m0, m1, m2 = mean
+    # -trace, the sum of the principal 2x2 minors, and -det of e U (I - g h')
+    a1 = -e * (3.0 - k0 - a * k1 - b * k2)
+    a2 = e * e * (3.0 - 2.0 * k0 - a * k1 + (a * a - b) * k2)
+    a3 = -e * e * e * (1.0 - k0)
+    c = []
+    for _ in range(3):
+        m0 = e * (m0 + a * m1 + b * m2)
+        m1 = e * (m1 + a * m2)
+        m2 = e * m2
+        v = -m0
+        c.append(v)
+        m0 += k0 * v
+        m1 += k1 * v
+        m2 += k2 * v
+    n = len(y)
+    rhs = np.convolve(y, (1.0, -3.0 * e, 3.0 * e * e, -e * e * e))[:n]
+    rhs[:3] += (c[0], c[1] + a1 * c[0], c[2] + a1 * c[1] + a2 * c[0])[:n]
+    band = np.empty((4, n), dtype=complex)  # row 0, the unit diagonal, is not read
+    band[1:] = np.array((a1, a2, a3))[:, None]
+    v, _ = lapack.ztbtrs(band, rhs[:, None], uplo="L", diag="U")
+    v = v[:, 0]
+    return n * cmath.log(s), (v @ v) / s
 
 
 def _matern_nll_and_grad(log_params, t, y, jitter_initial=JITTER_INITIAL):
@@ -471,38 +570,47 @@ def _matern_nll_and_grad(log_params, t, y, jitter_initial=JITTER_INITIAL):
     ridge: the filter's noise variance is sigma_n^2 + jitter_initial *
     (sigma_f^2 + sigma_n^2), which is the ridge the dense path adds to
     diag V. One transition is built per distinct gap, so a regular grid
-    needs one. The sigma_l and sigma_n entries of the gradient are complex
-    steps through the same filter; the sigma_f entry follows from scaling
-    both sigma_f and sigma_n, which scales V: g_f + g_n = n - y' V^-1 y.
+    needs one, and the filter hands the run of equal gaps that ends the
+    series to a steady-state solve once it has settled. The sigma_l and
+    sigma_n entries of the gradient are complex steps through the same
+    filter; the sigma_f entry follows from scaling both sigma_f and
+    sigma_n, which scales V: g_f + g_n = n - y' V^-1 y.
     Raises NumericalError on a non-positive innovation variance or a
     non-finite result.
     """
     log_sf, log_sl, log_sn = (float(x) for x in log_params)
     n = t.shape[0]
-    gaps, index = np.unique(np.diff(t), return_inverse=True)
-    index = index.tolist()
+    diffs = np.diff(t)
+    # The trailing run of equal gaps gets a transition of its own, after the
+    # distinct gaps before it; the filter tells the run by that row's identity.
+    before = np.flatnonzero(diffs != diffs[-1:])
+    split = int(before[-1]) + 1 if before.size else 0
+    slots = {}
+    index = [slots.setdefault(d, len(slots)) for d in diffs[:split].tolist()]
+    gaps = np.array(list(slots) + diffs[-1:].tolist())
+    run = n - 1 - split
     sf2 = math.exp(2.0 * log_sf)
     z = (y / math.exp(log_sf)).tolist()
 
     def half_nll(transitions, log_sn):
         unique = transitions.tolist()
         sn2 = cmath.exp(2.0 * log_sn)
-        log_det, quad = _kalman_terms(z, [_SDE_START] + [unique[i] for i in index],
-                                      (sn2 + jitter_initial * (sf2 + sn2)) / sf2)
+        rows = [_SDE_START] + [unique[i] for i in index] + unique[-1:] * run
+        log_det, quad = _kalman_terms(z, rows, (sn2 + jitter_initial * (sf2 + sn2)) / sf2)
         return 0.5 * (log_det + quad), quad.real
 
     step = 1j * _CSTEP
-    transitions = _transition_rows(SQRT5 * np.exp(-(log_sl + step)) * gaps)
+    transitions = _transition_rows(SQRT5 * cmath.exp(-(log_sl + step)) * gaps)
     value_l, quad = half_nll(transitions, log_sn)
     # complex rows: mixed float-complex arithmetic is the slower path in CPython
     value_n, _ = half_nll(transitions.real + 0j, log_sn + step)
     nll = value_l.real + n * log_sf + 0.5 * n * LOG_2PI
     g_l = value_l.imag / _CSTEP
     g_n = value_n.imag / _CSTEP
-    grad = np.array([n - quad - g_n, g_l, g_n])
-    if not (math.isfinite(nll) and np.isfinite(grad).all()):
+    grad = (n - quad - g_n, g_l, g_n)
+    if not all(math.isfinite(g) for g in (nll,) + grad):
         raise NumericalError("non-finite likelihood")
-    return nll, grad
+    return nll, np.array(grad)
 
 
 def fit_hyperparameters(data, config=None):

@@ -7,6 +7,9 @@ oracles in conftest, which do not share the library's Cholesky path.
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -322,6 +325,24 @@ FIT_BOUND_CORNERS = list(itertools.product(_BOUNDS.sigma_f_bounds, _BOUNDS.sigma
 # (sigma_f, sigma_l, sigma_n) where sigma_f/sigma_n = 1e4 and sigma_l is far
 # beyond the span: the dense factorization itself loses about six digits there.
 DENSE_LOSES_DIGITS = (1e3, 1e3, 0.1)
+# (sigma_f, sigma_l, sigma_n) as historical nodes fit them on normalized
+# archives; on a unit grid the filter settles within a few dozen steps.
+FITTED_LIKE = [(0.9, 4.2, 0.44), (0.89, 1.69, 0.46), (0.86, 8.98, 0.54)]
+
+
+@pytest.fixture
+def tail_calls(monkeypatch):
+    """Records each call of the steady-state tail: the number of
+    observations it covers and the S and gains it was handed."""
+    calls = []
+    steady_tail = gp_core._steady_tail
+
+    def spy(y, transition, s, gains, mean):
+        calls.append(SimpleNamespace(n=len(y), s=s, gains=gains))
+        return steady_tail(y, transition, s, gains, mean)
+
+    monkeypatch.setattr(gp_core, "_steady_tail", spy)
+    return calls
 
 
 class TestStateSpaceLikelihood:
@@ -425,6 +446,109 @@ class TestStateSpaceLikelihood:
         y[7] = math.nan
         with pytest.raises(NumericalError, match="non-finite"):
             _matern_nll_and_grad(x, t, y)
+
+    def test_long_regular_grid_matches_dense(self, rng):
+        n = 2000
+        t = np.arange(n, dtype=float)
+        x = np.log(FITTED_LIKE[0])
+        sf, sl, sn = FITTED_LIKE[0]
+        y = sample_prior(GPModel(Matern52(sf, sl), noise_std=sn), t, rng)
+        nll, _ = _matern_nll_and_grad(x, t, y)
+        assert abs(nll - dense_nll(x, t, y)) <= 1e-8 * n
+
+    def test_regular_gradient_matches_dense_central_differences(self, rng):
+        n = 400
+        t = np.arange(n, dtype=float)
+        for triple in FITTED_LIKE:
+            x = np.log(triple)
+            y = sample_prior(GPModel(Matern52(*triple[:2]), noise_std=triple[2]), t, rng)
+            _, grad = _matern_nll_and_grad(x, t, y)
+            h = 1e-5
+            for i in range(3):
+                xp, xm = x.copy(), x.copy()
+                xp[i] += h
+                xm[i] -= h
+                num = (dense_nll(xp, t, y) - dense_nll(xm, t, y)) / (2 * h)
+                assert grad[i] == pytest.approx(num, rel=1e-6, abs=1e-6), (triple, i)
+
+    def test_steady_tail_equals_the_full_filter(self, rng):
+        # Moving the last timestamp by one ulp gives the last gap a transition
+        # of its own, so the filter runs to the end: the reference here.
+        n = 400
+        t = np.arange(n, dtype=float)
+        t_full = t.copy()
+        t_full[-1] = np.nextafter(t_full[-1], np.inf)
+        for triple in FITTED_LIKE:
+            x = np.log(triple)
+            y = rng.normal(size=n)
+            nll, grad = _matern_nll_and_grad(x, t, y)
+            ref_nll, ref_grad = _matern_nll_and_grad(x, t_full, y)
+            assert abs(nll - ref_nll) <= 1e-11 * n, triple
+            np.testing.assert_allclose(grad, ref_grad, rtol=1e-9, atol=1e-9)
+
+    def test_tail_starts_once_the_imaginary_parts_settle(self, tail_calls):
+        # The imaginary parts of S and the gains carry the gradient and settle
+        # after the real parts. What the filter hands to the tail must be the
+        # fixed point of the covariance recursion in both parts.
+        n = 400
+        for sf, sl, sn in FITTED_LIKE:
+            tail_calls.clear()
+            _matern_nll_and_grad(np.log([sf, sl, sn]), np.arange(n, dtype=float), np.zeros(n))
+            # the sigma_l pass: a complex-step transition and a real noise variance
+            u = gp_core.SQRT5 * np.exp(-(math.log(sl) + 1j * gp_core._CSTEP))
+            a, b, e, _, *q = gp_core._transition_rows(np.array([u]))[0]
+            r = (sn ** 2 + gp_core.JITTER_INITIAL * (sf ** 2 + sn ** 2)) / sf ** 2
+            A = e * np.array([[1.0, a, b], [0.0, 1.0, a], [0.0, 0.0, 1.0]])
+            Q = np.zeros((3, 3), dtype=complex)
+            Q[np.triu_indices(3)] = q
+            Q += np.triu(Q, 1).T
+            P = Q.copy()
+            for _ in range(3000):
+                P = A @ (P - np.outer(P[:, 0], P[0]) / (P[0, 0] + r)) @ A.T + Q
+            expected = np.array([P[0, 0] + r, *(P[:, 0] / (P[0, 0] + r))])
+            got = np.array([tail_calls[0].s, *tail_calls[0].gains])
+            np.testing.assert_allclose(got.real, expected.real, rtol=1e-13)
+            np.testing.assert_allclose(got.imag, expected.imag, rtol=1e-13)
+
+    def test_tail_runs_only_on_the_trailing_run_of_equal_gaps(self, rng, tail_calls):
+        n = 400
+        x = np.log(FITTED_LIKE[0])
+        y = rng.normal(size=n)
+        _matern_nll_and_grad(x, np.arange(n, dtype=float), y)
+        assert len(tail_calls) == 2  # one per gradient pass
+        assert all(0 < call.n < n - 8 for call in tail_calls)
+        tail_calls.clear()
+        _matern_nll_and_grad(x, random_increasing_times(rng, n), y)
+        assert tail_calls == []
+
+    def test_last_gap_one_ulp_apart_gets_no_tail(self, rng, tail_calls):
+        n = 400
+        t = np.arange(n, dtype=float)
+        t[-1] = np.nextafter(t[-1], np.inf)
+        assert len(set(np.diff(t).tolist())) == 2
+        x = np.log(FITTED_LIKE[0])
+        y = rng.normal(size=n)
+        nll, _ = _matern_nll_and_grad(x, t, y)
+        assert tail_calls == []
+        assert abs(nll - dense_nll(x, t, y)) <= 1e-8 * n
+
+    def test_irregular_head_then_regular_tail(self, rng, tail_calls):
+        head = random_increasing_times(rng, 150)
+        t = np.concatenate([head, head[-1] + 0.5 * np.arange(1, 251)])
+        n = t.size
+        for triple in FITTED_LIKE:
+            x = np.log(triple)
+            y = sample_prior(GPModel(Matern52(*triple[:2]), noise_std=triple[2]), t, rng)
+            nll, _ = _matern_nll_and_grad(x, t, y)
+            assert abs(nll - dense_nll(x, t, y)) <= 1e-8 * n, triple
+        assert tail_calls and all(call.n < 250 for call in tail_calls)
+
+    def test_non_finite_value_in_the_tail_raises(self, rng):
+        t = np.arange(400.0)
+        y = rng.normal(size=400)
+        y[350] = math.nan
+        with pytest.raises(NumericalError, match="non-finite"):
+            _matern_nll_and_grad(np.log(FITTED_LIKE[0]), t, y)
 
 
 class TestFitHyperparameters:
@@ -588,3 +712,13 @@ class TestTimeSeries:
     def test_from_values(self):
         ts = TimeSeries.from_values([5.0, 6.0, 7.0])
         np.testing.assert_array_equal(ts.timestamps, [0.0, 1.0, 2.0])
+
+
+def test_import_leaves_out_scipy_signal():
+    # scipy.signal alone adds about 25 MB of resident memory to every node.
+    src = os.path.dirname(os.path.dirname(gp_core.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    subprocess.run([sys.executable, "-c",
+                    "import gptdf, sys; assert 'scipy.signal' not in sys.modules"],
+                   env=env, check=True, timeout=120)
