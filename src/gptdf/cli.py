@@ -14,11 +14,11 @@ import sys
 import click
 
 from . import data_io, edge_sim, evaluation, fusion, gp_core
-from .errors import ConfigError, DataError, NumericalError, PartialFailure
+from .errors import MALFORMED, ConfigError, DataError, NumericalError, PartialFailure
 
 
 @click.group()
-@click.option("--seed", type=int, default=0, show_default=True,
+@click.option("--seed", type=click.IntRange(0), default=0, show_default=True,
               help="Seed for anything stochastic (generation, fitting restarts).")
 @click.pass_context
 def cli(ctx, seed):
@@ -27,12 +27,16 @@ def cli(ctx, seed):
     ctx.obj["seed"] = seed
 
 
-def _load_json(path):
+def _load_config(path, build):
+    """Return `build(raw)` for the JSON settings file at `path`; malformed
+    input, from the JSON text to a value `build` rejects, becomes one
+    ConfigError that names the file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+            return build(json.load(fh))
+    except MALFORMED as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ConfigError(f"{path}: {detail}") from exc
 
 
 @cli.command()
@@ -40,9 +44,10 @@ def _load_json(path):
 @click.option("--column", default="0", show_default=True,
               help="Value column, by index or header name.")
 @click.option("--time-column", default=None, help="Optional time column (index or name).")
-@click.option("--restarts", type=int, default=None, help="Override the restart count.")
+@click.option("--restarts", type=click.IntRange(1), default=None,
+              help="Override the restart count.")
 @click.option("--fit-config", "fit_config_path", type=click.Path(), default=None,
-              help="JSON file with bounds, restarts, jitter_initial, seed.")
+              help="JSON file with bounds, restarts, seed.")
 @click.option("--no-normalize", is_flag=True, help="Fit the raw values without normalizing.")
 @click.pass_context
 def fit(ctx, csv_path, column, time_column, restarts, fit_config_path, no_normalize):
@@ -53,14 +58,14 @@ def fit(ctx, csv_path, column, time_column, restarts, fit_config_path, no_normal
     series = data_io.load_csv(csv_path, column=column, time_column=time_column)
     if not no_normalize:
         series, _ = data_io.normalize(series)
-    raw = _load_json(fit_config_path) if fit_config_path else {}
-    raw.setdefault("seed", ctx.obj["seed"])
-    if restarts is not None:
-        raw["restarts"] = restarts
-    try:
-        config = gp_core.FitConfig.from_dict(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad fit config: {exc}") from exc
+
+    def fit_config(raw):
+        raw = {"seed": ctx.obj["seed"], **raw}
+        if restarts is not None:
+            raw["restarts"] = restarts
+        return gp_core.FitConfig.from_dict(raw)
+
+    config = _load_config(fit_config_path, fit_config) if fit_config_path else fit_config({})
     feature = gp_core.fit_hyperparameters(series, config)
     click.echo(json.dumps(feature.as_dict()))
 
@@ -69,7 +74,7 @@ def fit(ctx, csv_path, column, time_column, restarts, fit_config_path, no_normal
 @click.option("--sigma-f", type=float, required=True)
 @click.option("--sigma-l", type=float, required=True)
 @click.option("--sigma-n", type=float, default=0.0, show_default=True)
-@click.option("-n", "--length", type=int, required=True, help="Number of points.")
+@click.option("-n", "--length", type=click.IntRange(1), required=True, help="Number of points.")
 @click.option("--out", type=click.Path(), default=None, help="Write CSV here instead of stdout.")
 @click.pass_context
 def generate(ctx, sigma_f, sigma_l, sigma_n, length, out):
@@ -90,14 +95,21 @@ def generate(ctx, sigma_f, sigma_l, sigma_n, length, out):
             target.close()
 
 
+def _feature_list(raw):
+    if not isinstance(raw, list) or not raw:
+        raise ValueError("expected a nonempty JSON list of feature triples")
+    return [gp_core.TemporalFeature.from_dict(d) for d in raw]
+
+
 @cli.command()
 @click.argument("stream_csv", type=click.Path())
 @click.option("--features", "features_path", type=click.Path(), required=True,
               help="JSON file: list of {sigma_f, sigma_l, sigma_n} triples.")
 @click.option("--column", default="0", show_default=True)
-@click.option("--tau", type=int, default=fusion.DEFAULT_TAU, show_default=True)
+@click.option("--tau", type=click.IntRange(1), default=fusion.DEFAULT_TAU, show_default=True)
 @click.option("--alpha", type=float, default=fusion.DEFAULT_ALPHA, show_default=True)
-@click.option("--limit", type=int, default=None, help="Use only the first M features.")
+@click.option("--limit", type=click.IntRange(1), default=None,
+              help="Use only the first M features.")
 @click.option("--normalization", type=click.Choice(["online", "offline", "none"]),
               default="online", show_default=True)
 @click.option("--out", type=click.Path(), default=None,
@@ -105,17 +117,11 @@ def generate(ctx, sigma_f, sigma_l, sigma_n, length, out):
 def predict(stream_csv, features_path, column, tau, alpha, limit, normalization, out):
     """Run the online fusion loop over a CSV stream; emit the prediction log
     as line-delimited JSON."""
+    if not 0.0 < alpha < 1.0:  # unlike click.FloatRange, also rejects NaN
+        raise click.BadParameter(f"must lie in (0, 1), got {alpha}", param_hint="'--alpha'")
     column = int(column) if column.lstrip("-").isdigit() else column
     stream = data_io.load_csv(stream_csv, column=column)
-    raw = _load_json(features_path)
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"{features_path}: expected a nonempty JSON list of feature triples")
-    try:
-        features = [gp_core.TemporalFeature.from_dict(d) for d in raw]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{features_path}: bad feature entry ({exc})") from exc
-    if limit is not None:
-        features = features[:limit]
+    features = _load_config(features_path, _feature_list)[:limit]
     state = fusion.ensemble_from_features(features, tau=tau, alpha=alpha)
     prepared = data_io.prepare_stream(stream, normalization)
     records = fusion.run_stream(state, prepared.series)
@@ -134,12 +140,8 @@ def predict(stream_csv, features_path, column, tau, alpha, limit, normalization,
 def simulate(ctx, scenario_path, out_dir):
     """Run a full edge/cloud scenario; write logs, metrics, and the registry
     dump into a result directory."""
-    raw = _load_json(scenario_path)
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{scenario_path}: scenario must be a JSON object")
-    if "seed" not in raw:
-        raw["seed"] = ctx.obj["seed"]
-    scenario = edge_sim.Scenario.from_dict(raw)
+    scenario = _load_config(scenario_path, lambda raw: edge_sim.Scenario.from_dict(
+        {"seed": ctx.obj["seed"], **raw}))
     result = edge_sim.run_simulation(scenario)
 
     out = pathlib.Path(out_dir)
@@ -213,10 +215,8 @@ def simulate(ctx, scenario_path, out_dir):
 @click.pass_context
 def bench(ctx, config_path, out_dir):
     """Run a benchmark config; print the comparison table as CSV."""
-    raw = _load_json(config_path)
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{config_path}: benchmark config must be a JSON object")
-    config = evaluation.BenchmarkConfig.from_dict(raw, fallback_seed=ctx.obj["seed"])
+    config = _load_config(config_path, lambda raw: evaluation.BenchmarkConfig.from_dict(
+        raw, fallback_seed=ctx.obj["seed"]))
     report = evaluation.run_benchmark(config)
     if out_dir is not None:
         report.write_series_csvs(out_dir)

@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import MALFORMED, ConfigError, DataError
 from .gp_core import GPModel, Matern52, TemporalFeature, TimeSeries, sample_prior
 
 __all__ = [
@@ -41,9 +42,6 @@ class NormalizationStats:
     def invert(self, values):
         return np.asarray(values, dtype=float) * self.std + self.mean
 
-    def as_dict(self):
-        return {"mean": self.mean, "std": self.std}
-
 
 def _parse_float(text):
     try:
@@ -61,8 +59,11 @@ def load_csv(path, column=0, time_column=None):
     their 1-based line numbers. Header rows are detected automatically for
     integer column selectors and required for name selectors.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
-        rows = [row for row in csv.reader(fh)]
+    try:  # fspath: open() would take an int as a file descriptor
+        with open(os.fspath(path), encoding="utf-8", newline="") as fh:
+            rows = [row for row in csv.reader(fh)]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path} is not readable as UTF-8 CSV: {exc}") from exc
     rows = [row for row in rows if row]
 
     names_used = isinstance(column, str) or isinstance(time_column, str)
@@ -128,14 +129,18 @@ def normalize(data):
     """Center and scale to sample std one (n-1 denominator).
 
     Returns the transformed series and the stats needed to invert it.
-    Refuses series shorter than 2 points or with zero variance.
+    Refuses series shorter than 2 points, with zero variance, or whose mean
+    or std overflows.
     """
     if len(data) < 2:
         raise DataError("need at least 2 points to normalize")
-    mean = float(data.values.mean())
-    std = float(data.values.std(ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(data.values.mean())
+        std = float(data.values.std(ddof=1))
     if std == 0.0:
         raise DataError("zero variance: cannot normalize a constant series")
+    if not (math.isfinite(mean) and math.isfinite(std)):
+        raise DataError(f"values too large to normalize: mean={mean}, std={std}")
     stats = NormalizationStats(mean, std)
     return TimeSeries(data.timestamps, stats.apply(data.values)), stats
 
@@ -167,6 +172,7 @@ def prepare_stream(data, mode="online"):
     from zero while a near-constant prefix lasts, and wash out as O(1/count).
     mode="offline": whole-series normalization up front.
     mode="none": identity.
+    Raises DataError when a running mean or scale overflows.
     """
     if mode == "none":
         n = len(data)
@@ -184,16 +190,17 @@ def prepare_stream(data, mode="online"):
     scales = np.ones(n)
     # Welford recursion over the prefix strictly before each step
     count, mean, m2 = 0, 0.0, 0.0
-    for k in range(n):
+    for k, x in enumerate(y.tolist()):
         if count >= 1:
             offsets[k] = mean
         if count >= 2:
             scales[k] = math.sqrt((m2 + 2.0) / (count + 1))
-        x = y[k]
         count += 1
         delta = x - mean
         mean += delta / count
         m2 += delta * (x - mean)
+        if not 0.0 <= m2 < math.inf:  # false once the mean or m2 overflows
+            raise DataError(f"values too large to normalize: running scale overflows at step {k}")
     series = TimeSeries(data.timestamps, (y - offsets) / scales)
     return PreparedStream(series, offsets, scales)
 
@@ -221,14 +228,14 @@ def resolve_data_spec(spec, fallback_seed=0):
     """
     if not isinstance(spec, dict):
         raise ConfigError(f"data spec must be a mapping, got {type(spec).__name__}")
-    if "csv" in spec:
-        return load_csv(spec["csv"], column=spec.get("column", 0),
-                        time_column=spec.get("time_column"))
-    if "synthetic" in spec:
-        s = spec["synthetic"]
-        try:
+    try:
+        if "csv" in spec:
+            return load_csv(spec["csv"], column=spec.get("column", 0),
+                            time_column=spec.get("time_column"))
+        if "synthetic" in spec:
+            s = spec["synthetic"]
             feature = TemporalFeature(float(s["sigma_f"]), float(s["sigma_l"]), float(s["sigma_n"]))
             return generate_synthetic(feature, int(s["n"]), int(s.get("seed", fallback_seed)))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad synthetic data spec: {exc}") from exc
+    except MALFORMED as exc:
+        raise ConfigError(f"bad data spec: {exc}") from exc
     raise ConfigError("data spec needs a 'csv' or 'synthetic' entry")

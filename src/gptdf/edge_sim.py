@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import data_io, evaluation, fusion, gp_core
-from .errors import ConfigError, DataError, GptdfError, TransportError
+from .errors import MALFORMED, ConfigError, DataError, GptdfError, TransportError
 from .gp_core import FitConfig, TemporalFeature
 
 __all__ = [
@@ -65,11 +65,6 @@ MAX_REASON_CHARS = 200
 
 # Fallback expert for a target whose query returns nothing (normalized data)
 DEFAULT_PRIOR_FEATURE = TemporalFeature(sigma_f=1.0, sigma_l=1.0, sigma_n=0.1)
-
-# What parsing a JSON line or building a record from it may raise on bad
-# input: JSON nested past the recursion limit, an integer past the digit
-# limit, a number too large for a float or int, a missing or mistyped field.
-_MALFORMED = (KeyError, TypeError, ValueError, ArithmeticError, RecursionError)
 
 
 @dataclass(frozen=True)
@@ -142,7 +137,7 @@ def encode_message(msg):
 def decode_message(line):
     try:
         msg = json.loads(line)
-    except (ValueError, RecursionError) as exc:
+    except MALFORMED as exc:
         raise ConfigError(f"malformed message {line!r}: {exc}") from exc
     if not isinstance(msg, dict) or msg.get("type") not in MESSAGE_TYPES:
         raise ConfigError(f"unknown message type in {line!r}")
@@ -180,7 +175,7 @@ class CloudRegistry:
         if tail.strip():
             try:
                 json.loads(tail)
-            except (ValueError, RecursionError):
+            except MALFORMED:
                 with open(path, "r+b") as fh:
                     fh.truncate(end)
                 warnings.warn(f"{path}: dropped a torn final line of {len(tail)} bytes",
@@ -194,7 +189,7 @@ class CloudRegistry:
                 continue
             try:
                 record = FeatureRecord.from_message(json.loads(line))
-            except _MALFORMED as exc:
+            except MALFORMED as exc:
                 raise DataError(f"{path}: line {number} is not a feature record: {exc}") from exc
             self._ingest(record)
 
@@ -209,7 +204,7 @@ class CloudRegistry:
         try:
             if not isinstance(record, FeatureRecord):
                 record = FeatureRecord.from_message(record)
-        except _MALFORMED as exc:
+        except MALFORMED as exc:
             return Ack(False, f"invalid feature record: {exc}")
         with self._lock:
             fresh = self._ingest(record)
@@ -291,7 +286,10 @@ class _Channel:
         replies = self._exchange(query.requester_id, query.to_message())
         if replies and replies[0].get("status") == "rejected":
             raise ConfigError(f"registry rejected query: {replies[0].get('reason', '')}")
-        return FeatureResponse(tuple(FeatureRecord.from_message(msg) for msg in replies))
+        try:
+            return FeatureResponse(tuple(FeatureRecord.from_message(msg) for msg in replies))
+        except MALFORMED as exc:
+            raise ConfigError(f"malformed feature record in registry reply: {exc}") from exc
 
     def bytes_by_node(self):
         """Total wire bytes attributed to each node (both directions)."""
@@ -403,6 +401,8 @@ class Scenario:
             raise ConfigError(f"tau must be >= 1, got {self.tau}")
         if self.limit is not None and int(self.limit) < 1:
             raise ConfigError(f"limit must be >= 1, got {self.limit}")
+        if int(self.seed) < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @classmethod
     def from_dict(cls, d):
@@ -414,10 +414,6 @@ class Scenario:
             if "id" not in nd or "data" not in nd:
                 raise ConfigError(f"historical entry {i} needs 'id' and 'data'")
             nodes.append(NodeSpec(str(nd["id"]), nd["data"]))
-        try:
-            fit = FitConfig.from_dict(d["fit"]) if "fit" in d else FitConfig()
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad fit config: {exc}") from exc
         subset = d.get("subset", "all")
         return cls(nodes=tuple(nodes), target=d["target"],
                    target_id=str(d.get("target_id", "target")),
@@ -427,7 +423,7 @@ class Scenario:
                    subset=subset,
                    normalization=str(d.get("normalization", "online")),
                    seed=int(d.get("seed", 0)),
-                   fit=fit)
+                   fit=FitConfig.from_dict(d["fit"]) if "fit" in d else FitConfig())
 
     def as_dict(self):
         return {

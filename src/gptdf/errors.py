@@ -28,3 +28,11 @@ class TransportError(GptdfError):
 
 class PartialFailure(GptdfError):
     """A multi-node run finished but one or more nodes failed."""
+
+
+# What parsing outside JSON (a wire line, a registry record, a settings file)
+# and building objects from it may raise on bad input: JSON nested past the
+# recursion limit, an integer past the digit limit, a number too large for a
+# float or int, a missing, mistyped or out-of-range field. Every boundary
+# catches this tuple and raises the typed error its callers expect.
+MALFORMED = (KeyError, TypeError, ValueError, ArithmeticError, RecursionError)

@@ -136,13 +136,8 @@ class BenchmarkMethod:
 
     @classmethod
     def from_dict(cls, d):
-        try:
-            name = str(d["name"])
-            kind = str(d["kind"])
-        except KeyError as exc:
-            raise ConfigError(f"method entry missing {exc}") from exc
         features = tuple(TemporalFeature.from_dict(f) for f in d.get("features", ()))
-        return cls(name=name, kind=kind, features=features,
+        return cls(name=str(d["name"]), kind=str(d["kind"]), features=features,
                    train_size=int(d.get("train_size", 0)))
 
 
@@ -173,16 +168,12 @@ class BenchmarkConfig:
             raise ConfigError("benchmark config needs a 'stream' entry")
         stream = data_io.resolve_data_spec(d["stream"], fallback_seed)
         methods = tuple(BenchmarkMethod.from_dict(m) for m in d.get("methods", ()))
-        try:
-            fit = FitConfig.from_dict(d["fit"]) if "fit" in d else FitConfig()
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad fit config: {exc}") from exc
         return cls(methods=methods, stream=stream,
                    tau=int(d.get("tau", fusion.DEFAULT_TAU)),
                    alpha=float(d.get("alpha", fusion.DEFAULT_ALPHA)),
                    normalization=str(d.get("normalization", "online")),
                    original_scale=bool(d.get("original_scale", False)),
-                   fit=fit)
+                   fit=FitConfig.from_dict(d["fit"]) if "fit" in d else FitConfig())
 
 
 @dataclass(frozen=True)

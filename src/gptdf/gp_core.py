@@ -305,29 +305,26 @@ def sample_prior(model, ts, seed):
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Multi-start fit settings: per-parameter bounds, restart count, seed for
-    the log-uniform initializations, and the relative ridge `jitter_initial`
-    that the fit objective adds to the noise variance (the first-attempt
-    jitter of the dense likelihood)."""
+    """Multi-start fit settings: per-parameter bounds, restart count, and seed
+    for the log-uniform initializations."""
 
     sigma_f_bounds: tuple = (1e-3, 1e3)
     sigma_l_bounds: tuple = (1e-3, 1e3)
     sigma_n_bounds: tuple = (0.1, 1e2)
     restarts: int = 8
     seed: int = 0
-    jitter_initial: float = JITTER_INITIAL
 
     def __post_init__(self):
         for name in ("sigma_f_bounds", "sigma_l_bounds", "sigma_n_bounds"):
             lo, hi = getattr(self, name)
-            if not (0.0 < lo < hi and math.isfinite(hi)):
-                raise ValueError(f"{name} must satisfy 0 < low < high, got ({lo}, {hi})")
-        if int(self.restarts) < 1:
-            raise ValueError("restarts must be >= 1")
+            # the objective squares each parameter: a square must not underflow or overflow
+            if not (0.0 < lo < hi and lo * lo >= np.finfo(float).tiny and hi * hi < math.inf):
+                raise ValueError(f"{name} must satisfy 0 < low < high with both squares "
+                                 f"positive normal floats, got ({lo}, {hi})")
+        if int(self.restarts) < 1 or int(self.seed) < 0:
+            raise ValueError(f"restarts must be >= 1 and seed >= 0, "
+                             f"got {self.restarts} and {self.seed}")
         object.__setattr__(self, "restarts", int(self.restarts))
-        if not (0.0 <= self.jitter_initial and math.isfinite(self.jitter_initial)):
-            raise ValueError(f"jitter_initial must be nonnegative and finite, "
-                             f"got {self.jitter_initial}")
 
     def as_dict(self):
         return {
@@ -336,14 +333,12 @@ class FitConfig:
             "sigma_n_bounds": list(self.sigma_n_bounds),
             "restarts": self.restarts,
             "seed": self.seed,
-            "jitter_initial": self.jitter_initial,
         }
 
     @classmethod
     def from_dict(cls, d):
-        known = {"sigma_f_bounds", "sigma_l_bounds", "sigma_n_bounds",
-                 "restarts", "seed", "jitter_initial"}
-        unknown = set(d) - known
+        unknown = set(d) - {"sigma_f_bounds", "sigma_l_bounds", "sigma_n_bounds",
+                            "restarts", "seed"}
         if unknown:
             raise ValueError(f"unknown fit-config keys: {sorted(unknown)}")
         kwargs = {}
@@ -353,8 +348,6 @@ class FitConfig:
         for name in ("restarts", "seed"):
             if name in d:
                 kwargs[name] = int(d[name])
-        if "jitter_initial" in d:
-            kwargs["jitter_initial"] = float(d["jitter_initial"])
         return cls(**kwargs)
 
 
@@ -562,12 +555,12 @@ def _steady_tail(y, transition, s, gains, mean):
     return n * cmath.log(s), (v @ v) / s
 
 
-def _matern_nll_and_grad(log_params, t, y, jitter_initial=JITTER_INITIAL):
+def _matern_nll_and_grad(log_params, t, y):
     """Negative log marginal likelihood of a zero-mean Matern-5/2 model and
     its gradient w.r.t. (log sigma_f, log sigma_l, log sigma_n), in O(n).
 
     The value is `-log_marginal_likelihood` at the same first-attempt
-    ridge: the filter's noise variance is sigma_n^2 + jitter_initial *
+    ridge: the filter's noise variance is sigma_n^2 + JITTER_INITIAL *
     (sigma_f^2 + sigma_n^2), which is the ridge the dense path adds to
     diag V. One transition is built per distinct gap, so a regular grid
     needs one, and the filter hands the run of equal gaps that ends the
@@ -596,7 +589,7 @@ def _matern_nll_and_grad(log_params, t, y, jitter_initial=JITTER_INITIAL):
         unique = transitions.tolist()
         sn2 = cmath.exp(2.0 * log_sn)
         rows = [_SDE_START] + [unique[i] for i in index] + unique[-1:] * run
-        log_det, quad = _kalman_terms(z, rows, (sn2 + jitter_initial * (sf2 + sn2)) / sf2)
+        log_det, quad = _kalman_terms(z, rows, (sn2 + JITTER_INITIAL * (sf2 + sn2)) / sf2)
         return 0.5 * (log_det + quad), quad.real
 
     step = 1j * _CSTEP
@@ -647,7 +640,7 @@ def fit_hyperparameters(data, config=None):
 
     def objective(x):
         try:
-            return _matern_nll_and_grad(x, t, y, config.jitter_initial)
+            return _matern_nll_and_grad(x, t, y)
         except NumericalError:
             return 1e25, np.zeros(3)
 

@@ -41,11 +41,19 @@ class TestFit:
         assert "absent.csv" in err
 
     def test_constant_series_exits_3(self, capsys, tmp_path):
-        path = tmp_path / "flat.csv"
-        path.write_text("5\n" * 30)
-        code, out, err = run_cli(capsys, "fit", str(path))
-        assert code == 3
-        assert "zero variance" in err
+        features_path = tmp_path / "features.json"
+        features_path.write_text(json.dumps(SHORT_SCALE_FEATURES))
+        # values whose mean or scale overflows fail as data in both normalizers
+        for command, text, message in [
+                (["fit"], "5\n" * 30, "zero variance"),
+                (["fit"], "1e308\n-1e308\n" * 15, "too large"),
+                (["predict", "--features", str(features_path)], "1e308\n-1e308\n" * 15,
+                 "too large")]:
+            path = tmp_path / "series.csv"
+            path.write_text(text)
+            code, out, err = run_cli(capsys, command[0], str(path), *command[1:])
+            assert code == 3, (command, text)
+            assert message in err
 
     def test_fit_config_file_controls_bounds(self, capsys, tmp_path, stream_csv):
         config_path = tmp_path / "fit.json"
@@ -57,10 +65,13 @@ class TestFit:
 
     def test_bad_fit_config_exits_2(self, capsys, tmp_path, stream_csv):
         config_path = tmp_path / "fit.json"
-        config_path.write_text(json.dumps({"sigma_n_bounds": [5.0, 1.0]}))
-        code, out, err = run_cli(capsys, "fit", str(stream_csv), "--column", "y",
-                                 "--fit-config", str(config_path))
-        assert code == 2
+        # the last two bounds square to 0 and to infinity in the objective
+        for raw in ({"sigma_n_bounds": [5.0, 1.0]}, {"seed": -1},
+                    {"sigma_f_bounds": [1e-200, 10]}, {"sigma_f_bounds": [1e-3, 1e200]}):
+            config_path.write_text(json.dumps(raw))
+            code, out, err = run_cli(capsys, "fit", str(stream_csv), "--column", "y",
+                                     "--fit-config", str(config_path))
+            assert code == 2, raw
 
 
 class TestGenerate:
@@ -79,9 +90,12 @@ class TestGenerate:
         assert out_a == out_b
 
     def test_bad_parameters_exit_2(self, capsys):
-        code, out, err = run_cli(capsys, "generate", "--sigma-f", "-1.0",
-                                 "--sigma-l", "1.0", "-n", "5")
-        assert code == 2
+        for args in (["generate", "--sigma-f", "-1.0", "--sigma-l", "1.0", "-n", "5"],
+                     ["generate", "--sigma-f", "1.0", "--sigma-l", "1.0", "-n", "0"],
+                     ["--seed", "-1", "generate", "--sigma-f", "1.0", "--sigma-l", "1.0",
+                      "-n", "5"]):
+            code, out, err = run_cli(capsys, *args)
+            assert code == 2, args
 
 
 class TestPredict:
@@ -115,6 +129,17 @@ class TestPredict:
         code, out, err = run_cli(capsys, "predict", str(stream_csv),
                                  "--features", str(features_path), "--column", "y")
         assert code == 2
+
+    # click.FloatRange lets NaN through; the alpha check must not
+    @pytest.mark.parametrize("flag, value", [("--tau", "0"), ("--alpha", "1.5"),
+                                             ("--alpha", "nan"), ("--limit", "0")])
+    def test_out_of_range_flag_exits_2(self, capsys, tmp_path, stream_csv, flag, value):
+        features_path = tmp_path / "features.json"
+        features_path.write_text(json.dumps(SHORT_SCALE_FEATURES))
+        code, out, err = run_cli(capsys, "predict", str(stream_csv), "--features",
+                                 str(features_path), "--column", "y", flag, value)
+        assert code == 2
+        assert flag in err
 
 
 def scenario_dict(n_nodes=2, node_n=100, target_n=40):
@@ -274,3 +299,37 @@ class TestUsage:
         path.write_text("{not json")
         code, out, err = run_cli(capsys, "bench", str(path))
         assert code == 2
+
+
+BENCH = {"stream": {"synthetic": {"sigma_f": 0.8, "sigma_l": 2.0, "sigma_n": 0.1, "n": 40}},
+         "methods": [{"name": "m", "kind": "fusion", "features": SHORT_SCALE_FEATURES[:1]}]}
+# Settings files that fail in the JSON parser or in a value conversion
+MALFORMED_SETTINGS = {
+    "bench-deep-nesting": ("bench", "[" * 100_000),
+    "predict-deep-nesting": ("predict", "[" * 100_000),
+    "bench-digits": ("bench", json.dumps(BENCH)[:-1] + ', "alpha": ' + "1" * 5000 + "}"),
+    "bench-feature-without-sigma-l": ("bench", json.dumps(
+        {**BENCH, "methods": [{"name": "m", "kind": "fusion",
+                               "features": [{"sigma_f": 1.0, "sigma_n": 0.1}]}]})),
+    "scenario-tau-text": ("simulate", json.dumps({**scenario_dict(), "tau": "abc"})),
+    "scenario-tau-overflow": ("simulate", json.dumps(scenario_dict())[:-1] + ', "tau": 1e400}'),
+    "bench-alpha-text": ("bench", json.dumps({**BENCH, "alpha": "x"})),
+    "fit-config-list": ("fit", "[]"),
+    "fit-config-restarts-overflow": ("fit", '{"restarts": 1e400}'),
+}
+
+
+@pytest.mark.parametrize("command, text", MALFORMED_SETTINGS.values(),
+                         ids=MALFORMED_SETTINGS.keys())
+def test_malformed_settings_file_exits_2(capsys, tmp_path, stream_csv, command, text):
+    path = tmp_path / "settings.json"
+    path.write_text(text)
+    args = {"bench": ["bench", str(path)],
+            "simulate": ["simulate", str(path), "--out-dir", str(tmp_path / "out")],
+            "fit": ["fit", str(stream_csv), "--column", "y", "--fit-config", str(path)],
+            "predict": ["predict", str(stream_csv), "--column", "y", "--features", str(path)],
+            }[command]
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2
+    assert err.startswith(f"error: {path}: ")
+    assert err.count("\n") == 1

@@ -118,6 +118,17 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=r"rows \[2\]"):
             load_csv(p)
 
+    @pytest.mark.parametrize("content", [b"1\n2\n\xff\n", b"1\n" + b"9" * 200_000 + b"\n"],
+                             ids=["not-utf8", "field-past-csv-limit"])
+    def test_unreadable_text_rejected(self, tmp_path, content):
+        p = tmp_path / "v.csv"
+        p.write_bytes(content)
+        with pytest.raises(DataError, match="not readable"):
+            load_csv(p)
+        # a data spec naming the file reports it as data, not as a bad spec
+        with pytest.raises(DataError):
+            resolve_data_spec({"csv": str(p)})
+
 
 class TestNormalize:
     def test_three_point_exact(self):
@@ -258,3 +269,18 @@ class TestResolveDataSpec:
             resolve_data_spec({"parquet": "x"})
         with pytest.raises(ConfigError):
             resolve_data_spec({"synthetic": {"sigma_f": 1.0}})
+
+    def test_malformed_csv_entry_is_a_config_error(self, tmp_path):
+        p = tmp_path / "v.csv"
+        p.write_text("1\n2\n")
+        with pytest.raises(ConfigError):
+            resolve_data_spec({"csv": str(p), "column": [0]})
+        # an int is no path: open() would read and close that file descriptor
+        read_end, write_end = os.pipe()
+        try:
+            with pytest.raises(ConfigError):
+                resolve_data_spec({"csv": read_end})
+            os.fstat(read_end)
+        finally:
+            os.close(read_end)
+            os.close(write_end)

@@ -262,6 +262,21 @@ class TestMessages:
             assert isinstance(json.loads(reply), dict)
             assert len(json.loads(reply).get("reason", "")) <= MAX_REASON_CHARS
 
+    @pytest.mark.parametrize("missing", MESSAGE_FIELDS)
+    def test_reply_missing_a_field_fails_the_target_only(self, missing):
+        class OneBadReply(edge_sim._Channel):
+            def _send(self, line):
+                msg = {**record().to_message(), "type": "response"}
+                del msg[missing]
+                return [json.dumps(msg)]
+
+        with pytest.raises(GptdfError):
+            OneBadReply().query(FeatureQuery("target"))
+        scenario = Scenario(nodes=(), target=synthetic_spec(30, 1))
+        result = run_simulation(scenario, channel=OneBadReply())
+        assert result.target_report is None
+        assert [node for node, _ in result.errors] == ["target"]
+
 
 class TestNodeDrivers:
     def test_historical_node_reports_once(self):
@@ -431,6 +446,8 @@ class TestSimulation:
             Scenario(nodes=(), target={}, tau=0)
         with pytest.raises(ConfigError):
             Scenario(nodes=(), target={}, limit=0)
+        with pytest.raises(ConfigError):
+            Scenario(nodes=(), target={}, seed=-1)
 
     def test_scenario_dict_round_trip(self):
         scenario = self._scenario(limit=4, subset=["edge-00"], seed=3)

@@ -412,16 +412,6 @@ class TestStateSpaceLikelihood:
                     num = (dense_nll(xp, t, y) - dense_nll(xm, t, y)) / (2 * h)
                     assert grad[i] == pytest.approx(num, rel=1e-6, abs=1e-6)
 
-    def test_jitter_initial_is_the_dense_ridge(self, rng):
-        t = random_increasing_times(rng, 50)
-        y = rng.normal(size=50)
-        model = GPModel(Matern52(0.9, 3.0), noise_std=0.2)
-        x = np.log([0.9, 3.0, 0.2])
-        for jitter in (0.0, 1e-6, 1e-2):
-            nll, _ = _matern_nll_and_grad(x, t, y, jitter)
-            expected = -dense_log_marginal_likelihood(model, t, y, jitter_rel=jitter)
-            assert abs(nll - expected) <= 1e-8 * 50
-
     def test_long_archive_allocates_no_matrix(self, rng):
         import tracemalloc
 
@@ -442,7 +432,7 @@ class TestStateSpaceLikelihood:
         y = rng.normal(size=20)
         x = np.log([1.0, 2.0, 0.1])
         with pytest.raises(NumericalError, match="innovation variance"):
-            _matern_nll_and_grad(x, t, y, jitter_initial=-2.0)
+            gp_core._kalman_terms(y.tolist(), [gp_core._SDE_START] * 20, -2.0)
         y[7] = math.nan
         with pytest.raises(NumericalError, match="non-finite"):
             _matern_nll_and_grad(x, t, y)
@@ -686,18 +676,15 @@ class TestFitHyperparameters:
 
 class TestFitConfig:
     def test_round_trip(self):
-        config = FitConfig(restarts=3, seed=5, jitter_initial=1e-8)
+        config = FitConfig(restarts=3, seed=5)
         assert FitConfig.from_dict(config.as_dict()) == config
 
     def test_jitter_max_is_not_a_fit_setting(self):
-        # the fit objective factors nothing, so there is no jitter to escalate
-        with pytest.raises(ValueError, match="unknown fit-config keys"):
-            FitConfig.from_dict({"jitter_max": 1e-4})
-
-    @pytest.mark.parametrize("bad", [-1e-10, math.nan, math.inf])
-    def test_bad_jitter_rejected(self, bad):
-        with pytest.raises(ValueError, match="jitter_initial"):
-            FitConfig(jitter_initial=bad)
+        # the fit objective factors nothing, so there is no jitter to escalate,
+        # and its ridge is the fixed first-attempt jitter of the dense path
+        for raw in ({"jitter_max": 1e-4}, {"jitter_initial": 1e-10}):
+            with pytest.raises(ValueError, match="unknown fit-config keys"):
+                FitConfig.from_dict(raw)
 
 
 class TestTimeSeries:
