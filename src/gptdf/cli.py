@@ -34,7 +34,7 @@ def _load_config(path, build):
     try:
         with open(path, encoding="utf-8") as fh:
             return build(json.load(fh))
-    except MALFORMED as exc:
+    except (ConfigError, *MALFORMED) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise ConfigError(f"{path}: {detail}") from exc
 

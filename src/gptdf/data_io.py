@@ -61,10 +61,9 @@ def load_csv(path, column=0, time_column=None):
     """
     try:  # fspath: open() would take an int as a file descriptor
         with open(os.fspath(path), encoding="utf-8", newline="") as fh:
-            rows = [row for row in csv.reader(fh)]
+            rows = [row for row in csv.reader(fh) if row]
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"{path} is not readable as UTF-8 CSV: {exc}") from exc
-    rows = [row for row in rows if row]
 
     names_used = isinstance(column, str) or isinstance(time_column, str)
     if not rows:
@@ -87,7 +86,7 @@ def load_csv(path, column=0, time_column=None):
     else:
         col_idx = int(column)
         time_idx = int(time_column) if time_column is not None else None
-        probe = rows[0][col_idx] if col_idx < len(rows[0]) else ""
+        probe = rows[0][col_idx] if -len(rows[0]) <= col_idx < len(rows[0]) else ""
         try:
             float(probe)
         except ValueError:
@@ -99,14 +98,18 @@ def load_csv(path, column=0, time_column=None):
     bad_rows = []
     for offset, row in enumerate(data_rows):
         line_no = header_lines + offset + 1
-        cell = row[col_idx] if col_idx < len(row) else ""
-        v = _parse_float(cell)
+        try:
+            v = _parse_float(row[col_idx])
+        except IndexError:  # past either end of the row
+            v = None
         if v is None:
             bad_rows.append(line_no)
             continue
         if time_idx is not None:
-            tcell = row[time_idx] if time_idx < len(row) else ""
-            tv = _parse_float(tcell)
+            try:
+                tv = _parse_float(row[time_idx])
+            except IndexError:
+                tv = None
             if tv is None:
                 bad_rows.append(line_no)
                 continue

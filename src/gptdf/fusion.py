@@ -18,10 +18,9 @@ from collections import deque, namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack, qr_delete
+from scipy.linalg import blas, lapack
 
 from . import gp_core
-from .errors import NumericalError
 from .gp_core import PredictiveDistribution
 
 __all__ = [
@@ -147,7 +146,7 @@ def fuse_predictions(means, variances, omega_hat):
 
 # The last cache miss of `_window_gains`: the gain rows and unclamped variances
 # under their offsets key, and what `_slid_factors` slides the next window from
-# (factors None when they carry escalated jitter).
+# (inverse factors None when they carry escalated jitter).
 _WindowCache = namedtuple("_WindowCache", "key gains variances times t_star factors rows")
 
 
@@ -231,50 +230,46 @@ def _cholesky_stack(V):
     return L, False
 
 
-def _solve_upper(U, b, trans):
-    """Solve U x = b (trans=0) or U' x = b (trans=1) for upper-triangular U."""
-    x, info = lapack.dtrtrs(U, b, lower=0, trans=trans)
-    if info != 0:
-        raise NumericalError(f"triangular solve failed (info={info})")
-    return x
-
-
 def _slid_factors(state, times, diagonal):
-    """Lower Cholesky factors of the window `times` carried over from the
-    last cache miss, or None when they must be computed afresh.
+    """Inverse factors of the window `times` carried over from the last cache
+    miss, or None when they must be computed afresh.
 
-    That miss predicted t* from the window T with factors L_j (L_j L_j' is
-    the noisy covariance plus the first ridge) and solved w_j = L_j^-1 k*_j.
-    If the window is now T followed by t*, its factor is [[L_j, 0], [w_j', d_j]]
-    with d_j^2 = `diagonal`_j plus its ridge minus w_j'w_j. If T's first point
-    has also left the window, deleting the first column of the upper factor
-    L_j' is a rank-1 update of its trailing block, which Givens rotations
-    (`qr_delete`) bring back to triangular form; its diagonal may come out
-    negative, which the solves do not mind. Any other window, or a
-    d_j^2 <= 0, gives None.
+    If the window is the last miss's window followed by the t* it predicted,
+    its factor is that miss's G_j bordered by the row (-gains_j', 1) / d_j,
+    d_j^2 = `diagonal`_j plus its ridge minus |rows_j|^2. If the first point
+    has also left, a Householder reflection, which keeps G_j'G_j, maps the
+    first column onto a multiple of e_1, and the trailing block is the factor
+    without that point. Any other window gives None, and so does a
+    d_j^2 <= 1e-3 `diagonal`_j: it marks a nearly singular window, where a
+    slid factor drifts from the dense solution.
     """
     if state._window_cache is None or state._window_cache.factors is None:
         return None
-    *_, prev_times, prev_t, factors, rows = state._window_cache
-    n = rows.shape[1]
+    _, gains, _, prev_times, prev_t, factors, rows = state._window_cache
+    m, n = rows.shape
     drop = times.size == n
     if not np.array_equal(times, np.append(prev_times[1:] if drop else prev_times, prev_t)):
         return None
     d2 = (1.0 + gp_core.JITTER_INITIAL) * diagonal - np.einsum("ij,ij->i", rows, rows)
-    if not (d2 > 0.0).all():
+    if not (d2 > 1e-3 * diagonal).all():
         return None
-    slid = []
-    for L, w, d in zip(factors, rows, np.sqrt(d2).tolist()):
-        ext = np.zeros((n + 1, n + 1))
-        ext[:n, :n] = L
-        ext[n, :n] = w
-        ext[n, n] = d
-        if drop:
-            _, R = qr_delete(np.eye(n + 1), ext.T, 0, which="col",
-                             overwrite_qr=True, check_finite=False)
-            ext = np.ascontiguousarray(R[:n].T)
-        slid.append(ext)
-    return slid
+    G = np.empty((m, n + 1, n + 1))
+    G[:, :n, :n] = factors
+    G[:, :n, n] = 0.0
+    G[:, n] = np.append(-gains, np.ones((m, 1)), axis=1) / np.sqrt(d2)[:, None]
+    if not drop:
+        return G
+    # H = I - v v' / (|a| (|a| + |a_0|)) with v = a + sign(a_0)|a| e_1 for the
+    # first column a, applied as G -= v proj'.
+    a = G[:, :, 0]
+    norm = np.sqrt(np.einsum("ij,ij->i", a, a))
+    v = a.copy()
+    v[:, 0] += np.copysign(norm, a[:, 0])
+    proj = np.matmul(v[:, None, :], G)[:, 0] / (norm * (norm + np.abs(a[:, 0])))[:, None]
+    for j in range(m):
+        # G[j].T is Fortran-ordered, so BLAS updates G[j] in place.
+        blas.dger(-1.0, proj[j], v[j], a=G[j].T, overwrite_a=1)
+    return G[:, 1:, 1:]
 
 
 def _window_gains(state, t_star):
@@ -285,10 +280,12 @@ def _window_gains(state, t_star):
     Both depend on the window only through its offsets t* - t_i, so they are
     cached on the state under those offsets' bytes: on a regular grid with a
     full window every step hits, and a step costs one (M, tau) product. A
-    gap, an irregular grid or a filling window misses. A miss whose window is
-    the previous miss's window plus the point it predicted takes its factors
-    from `_slid_factors`, O(M tau^2); any other miss factors the whole
-    (M, tau, tau) stack with `_cholesky_stack`.
+    gap, an irregular grid or a filling window misses. A miss takes rows
+    G_j k*_j and gains rows_j' G_j from the window's inverse factors G_j, with
+    G_j'G_j the inverse of V_j plus its ridge. `_slid_factors` gives them in
+    O(M tau^2) when the window is the last miss's plus the point it predicted;
+    any other miss factors the whole (M, tau, tau) stack with `_cholesky_stack`
+    and inverts it, O(M tau^3).
     """
     times = np.array(state.window_times)
     offsets = t_star - times
@@ -301,26 +298,23 @@ def _window_gains(state, t_star):
     sf = np.array([m.kernel.output_scale for m in models])[:, None]
     sl = np.array([m.kernel.length_scale for m in models])[:, None]
     noise_var = np.array([m.noise_std for m in models]) ** 2
-    n = times.size
-    L = _slid_factors(state, times, sf[:, 0] ** 2 + noise_var)
+    G = _slid_factors(state, times, sf[:, 0] ** 2 + noise_var)
     first_ridge = True
-    if L is None:
+    if G is None:
         r = np.abs(times[:, None] - times[None, :])
         K = gp_core._matern52(sf[:, :, None], sl[:, :, None], r)
-        L, first_ridge = _cholesky_stack(K + noise_var[:, None, None] * np.eye(n))
+        L, first_ridge = _cholesky_stack(K + noise_var[:, None, None] * np.eye(times.size))
+        # a triangular inverse per expert costs a tenth of np.linalg.inv's LU
+        G = np.array([lapack.dtrtri(f, lower=1)[0] for f in L])
     k_star = gp_core._matern52(sf, sl, np.abs(offsets))
-    rows = np.empty((len(models), n))
-    gains = np.empty((len(models), n))
-    variances = np.empty(len(models))
-    for j in range(len(models)):
-        # L[j].T is the upper factor in Fortran order: LAPACK takes it uncopied.
-        w = rows[j] = _solve_upper(L[j].T, k_star[j], trans=1)
-        gains[j] = _solve_upper(L[j].T, w, trans=0)
-        variances[j] = gp_core.eval_kernel(models[j].kernel, t_star, t_star) - w @ w
+    rows = np.matmul(G, k_star[:, :, None])[:, :, 0]
+    gains = np.matmul(rows[:, None, :], G)[:, 0]
+    prior = np.array([gp_core.eval_kernel(m.kernel, t_star, t_star) for m in models])
+    variances = prior - np.einsum("ij,ij->i", rows, rows)
     # A factor with escalated jitter is not the first-ridge factor that
     # `_slid_factors` extends, so it is never carried over.
     state._window_cache = _WindowCache(key, gains, variances, times, t_star,
-                                       L if first_ridge else None, rows)
+                                       G if first_ridge else None, rows)
     return gains, variances
 
 

@@ -337,6 +337,8 @@ class FitConfig:
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise ValueError(f"fit config must be a JSON object, got {type(d).__name__}")
         unknown = set(d) - {"sigma_f_bounds", "sigma_l_bounds", "sigma_n_bounds",
                             "restarts", "seed"}
         if unknown:

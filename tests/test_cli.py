@@ -73,6 +73,14 @@ class TestFit:
                                      "--fit-config", str(config_path))
             assert code == 2, raw
 
+    def test_column_past_row_width_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "one_column.csv"
+        path.write_text("1.0\n2.0\n3.0\n")
+        for column in ("-5", "5"):
+            code, out, err = run_cli(capsys, "fit", str(path), "--column", column)
+            assert code == 3, column
+            assert err.startswith("error: unparseable values") and err.count("\n") == 1
+
 
 class TestGenerate:
     def test_csv_on_stdout(self, capsys):
@@ -303,7 +311,8 @@ class TestUsage:
 
 BENCH = {"stream": {"synthetic": {"sigma_f": 0.8, "sigma_l": 2.0, "sigma_n": 0.1, "n": 40}},
          "methods": [{"name": "m", "kind": "fusion", "features": SHORT_SCALE_FEATURES[:1]}]}
-# Settings files that fail in the JSON parser or in a value conversion
+# Settings files that fail in the JSON parser, in a value conversion or in a
+# check of the parsed settings
 MALFORMED_SETTINGS = {
     "bench-deep-nesting": ("bench", "[" * 100_000),
     "predict-deep-nesting": ("predict", "[" * 100_000),
@@ -316,6 +325,12 @@ MALFORMED_SETTINGS = {
     "bench-alpha-text": ("bench", json.dumps({**BENCH, "alpha": "x"})),
     "fit-config-list": ("fit", "[]"),
     "fit-config-restarts-overflow": ("fit", '{"restarts": 1e400}'),
+    "scenario-fit-list": ("simulate", json.dumps({**scenario_dict(), "fit": []})),
+    "scenario-fit-text": ("simulate", json.dumps({**scenario_dict(), "fit": ""})),
+    "bench-fit-list": ("bench", json.dumps({**BENCH, "fit": []})),
+    "bench-fit-text": ("bench", json.dumps({**BENCH, "fit": ""})),
+    "bench-list": ("bench", "[]"),
+    "scenario-negative-seed": ("simulate", json.dumps({**scenario_dict(), "seed": -1})),
 }
 
 

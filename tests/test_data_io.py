@@ -85,6 +85,20 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="strictly increasing"):
             load_csv(p, column="flow", time_column="t")
 
+    @pytest.mark.parametrize("column, time_column", [(-5, None), (5, None), ("flow", -9)])
+    def test_column_past_row_width(self, tmp_path, column, time_column):
+        p = tmp_path / "v.csv"
+        p.write_text("t,flow\n0,10\n1,20\n")
+        with pytest.raises(DataError):
+            load_csv(p, column=column, time_column=time_column)
+
+    def test_negative_column_counts_from_the_end(self, tmp_path):
+        p = tmp_path / "v.csv"
+        p.write_text("0.5,10\n1.5,20\n")
+        series = load_csv(p, column=-1, time_column=-2)
+        np.testing.assert_array_equal(series.values, [10.0, 20.0])
+        np.testing.assert_array_equal(series.timestamps, [0.5, 1.5])
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_csv(tmp_path / "nope.csv")

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import dense_noisy
 from gptdf import gp_core
 from gptdf.data_io import generate_synthetic
 from gptdf.fusion import (
@@ -615,3 +616,84 @@ class TestBatchedExperts:
         calls = count_cholesky(monkeypatch)
         checked_step(state, t[tau + 2], 0.0)
         assert len(calls) == 1
+
+
+def assert_inverse_factors(state, tol):
+    """The inverse factors G_j carried by the last miss satisfy
+    G_j'G_j = (V_j + first ridge)^-1 on that miss's window, to `tol` times the
+    largest entry of the dense inverse."""
+    cached = state._window_cache
+    for model, G in zip(state.models, cached.factors):
+        V = dense_noisy(model.kernel, cached.times, model.noise_std, gp_core.JITTER_INITIAL)
+        P = np.linalg.inv(V)
+        np.testing.assert_allclose(G.T @ G, P, rtol=0.0, atol=tol * np.abs(P).max())
+
+
+class TestInverseFactors:
+    """The (M, n, n) inverse factors a cache miss slides from one window to
+    the next: bordered by the appended point, reflected to drop the oldest."""
+
+    def test_append_and_drop_keep_inverse_factors(self, monkeypatch, rng):
+        tau = 12
+        t = jittered(3 * tau, rng)
+        state = ensemble_from_features(MIXED_FEATURES, tau=tau)
+        calls = count_cholesky(monkeypatch)
+        for k in range(t.size):
+            gptdf_step(state, (t[k], math.sin(t[k])))
+            if k:
+                # steps 1..tau-1 append only; later steps append and drop
+                assert state._window_cache.times.size == min(k, tau)
+                assert_inverse_factors(state, 1e-10)
+        assert calls == [(16, 1, 1)]
+
+    @pytest.mark.parametrize("nonnegative_pivot", [True, False])
+    def test_householder_sign_branches(self, monkeypatch, rng, nonnegative_pivot):
+        tau = 10
+        t = jittered(tau + 8, rng)
+        state = ensemble_from_features(MIXED_FEATURES[::4], tau=tau, mean=0.25)
+        for k in range(tau + 2):
+            gptdf_step(state, (t[k], math.cos(t[k])))
+        # Negating the first row of G leaves G'G and the gains as they are;
+        # it only flips the pivot a_0 of the next drop, so both signs of the
+        # reflection run on the same window.
+        cached = state._window_cache
+        flip = np.where((cached.factors[:, 0, 0] >= 0.0) == nonnegative_pivot, 1.0, -1.0)
+        factors = cached.factors.copy()
+        rows = cached.rows.copy()
+        factors[:, 0] *= flip[:, None]
+        rows[:, 0] *= flip
+        state._window_cache = cached._replace(factors=factors, rows=rows)
+        assert ((factors[:, 0, 0] >= 0.0) == nonnegative_pivot).all()
+        calls = count_cholesky(monkeypatch)
+        for k in range(tau + 2, t.size):
+            checked_step(state, t[k], math.cos(t[k]))
+            assert_inverse_factors(state, 1e-10)
+        assert calls == []
+
+    def test_long_length_scales_match_dense(self, monkeypatch, rng):
+        # Long length scales and little noise make the window covariance
+        # ill-conditioned, so any error the slides accumulate shows here.
+        n, tau = 3000, 100
+        features = [TemporalFeature(1.0, sigma_l, 0.1) for sigma_l in (10.0, 20.0, 40.0)]
+        stream = stream_on(jittered(n, rng), seed=2)
+        calls = count_cholesky(monkeypatch)
+        models, steps, misses, changes = online_predictions(features, stream, tau)
+        monkeypatch.undo()
+        assert calls == [(3, 1, 1)]
+        assert misses == changes == n - 1
+        checked = set(range(0, n, 53)) | {1, tau - 1, tau, tau + 1, n - 1}
+        assert_matches_dense(models, stream, tau, steps, checked)
+
+    def test_nearly_singular_window_refactors(self, rng):
+        # Without noise and at a length scale far beyond the window, each new
+        # point is all but determined by the window: those steps factor
+        # afresh, so the predictions keep the dense reference's own accuracy.
+        tau, n = 50, 300
+        t = jittered(n, rng)
+        state = ensemble_from_features([TemporalFeature(1.0, 1000.0, 0.0)], tau=tau)
+        for k in range(n):
+            window = current_window(state) if state.window_times else None
+            fused, _ = gptdf_step(state, (t[k], math.sin(t[k] / 40.0)))
+            if window is not None and k % 7 == 0:
+                ref = gp_core.predict(state.models[0], window, t[k])
+                assert fused.means[0] == pytest.approx(ref.mean, abs=1e-5)
