@@ -110,7 +110,7 @@ def _feature_list(raw):
 @click.option("--alpha", type=float, default=fusion.DEFAULT_ALPHA, show_default=True)
 @click.option("--limit", type=click.IntRange(1), default=None,
               help="Use only the first M features.")
-@click.option("--normalization", type=click.Choice(["online", "offline", "none"]),
+@click.option("--normalization", type=click.Choice(data_io.NORMALIZATION_MODES),
               default="online", show_default=True)
 @click.option("--out", type=click.Path(), default=None,
               help="Write the prediction log here instead of stdout.")

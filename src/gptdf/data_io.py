@@ -13,6 +13,8 @@ import numpy as np
 from .errors import MALFORMED, ConfigError, DataError
 from .gp_core import GPModel, Matern52, TemporalFeature, TimeSeries, sample_prior
 
+NORMALIZATION_MODES = ("online", "offline", "none")
+
 __all__ = [
     "NormalizationStats",
     "PreparedStream",
@@ -177,6 +179,8 @@ def prepare_stream(data, mode="online"):
     mode="none": identity.
     Raises DataError when a running mean or scale overflows.
     """
+    if mode not in NORMALIZATION_MODES:
+        raise ConfigError(f"unknown normalization mode {mode!r}")
     if mode == "none":
         n = len(data)
         return PreparedStream(data, np.zeros(n), np.ones(n))
@@ -184,8 +188,6 @@ def prepare_stream(data, mode="online"):
         series, stats = normalize(data)
         n = len(data)
         return PreparedStream(series, np.full(n, stats.mean), np.full(n, stats.std))
-    if mode != "online":
-        raise ConfigError(f"unknown normalization mode {mode!r}")
 
     y = data.values
     n = len(data)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import data_io, evaluation, fusion, gp_core
-from .errors import MALFORMED, ConfigError, DataError, GptdfError, TransportError
+from .errors import MALFORMED, ConfigError, DataError, GptdfError, TransportError, check_keys
 from .gp_core import FitConfig, TemporalFeature
 
 __all__ = [
@@ -395,6 +395,10 @@ class Scenario:
             raise ConfigError(f"target id {self.target_id!r} collides with a historical node")
         if self.subset != "all" and not isinstance(self.subset, (list, tuple)):
             raise ConfigError("subset must be 'all' or a list of node ids")
+        if self.subset != "all" and any(s not in ids for s in self.subset):
+            raise ConfigError(f"subset {list(self.subset)} names a node outside {ids}")
+        if self.normalization not in data_io.NORMALIZATION_MODES:
+            raise ConfigError(f"unknown normalization mode {self.normalization!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
         if int(self.tau) < 1:
@@ -406,13 +410,15 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, d):
+        check_keys(d, ("historical", "target", "target_id", "tau", "alpha", "limit", "subset",
+                       "normalization", "seed", "fit"), "scenario")
         if "target" not in d:
             raise ConfigError("scenario needs a 'target' entry")
         raw_nodes = d.get("historical", [])
         nodes = []
         for i, nd in enumerate(raw_nodes):
-            if "id" not in nd or "data" not in nd:
-                raise ConfigError(f"historical entry {i} needs 'id' and 'data'")
+            if set(nd) != {"id", "data"}:
+                raise ConfigError(f"historical entry {i} has keys {sorted(nd)}, not 'id' and 'data'")
             nodes.append(NodeSpec(str(nd["id"]), nd["data"]))
         subset = d.get("subset", "all")
         return cls(nodes=tuple(nodes), target=d["target"],

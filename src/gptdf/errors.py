@@ -36,3 +36,12 @@ class PartialFailure(GptdfError):
 # float or int, a missing, mistyped or out-of-range field. Every boundary
 # catches this tuple and raises the typed error its callers expect.
 MALFORMED = (KeyError, TypeError, ValueError, ArithmeticError, RecursionError)
+
+
+def check_keys(d, allowed, what):
+    """Raise ValueError unless the settings entry `d` is a JSON object whose
+    keys all lie in `allowed`: a misspelled key would run with its default."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(d).__name__}")
+    if not set(d) <= set(allowed):
+        raise ValueError(f"unknown {what} keys: {sorted(set(d) - set(allowed))}")

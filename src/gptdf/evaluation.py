@@ -7,12 +7,12 @@ from __future__ import annotations
 import io
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import data_io, fusion, gp_core
-from .errors import ConfigError, DataError, GptdfError
+from .errors import ConfigError, DataError, GptdfError, check_keys
 from .fusion import gaussian_log_density
 from .gp_core import FitConfig, TemporalFeature
 
@@ -136,6 +136,7 @@ class BenchmarkMethod:
 
     @classmethod
     def from_dict(cls, d):
+        check_keys(d, [f.name for f in fields(cls)], "benchmark method")
         features = tuple(TemporalFeature.from_dict(f) for f in d.get("features", ()))
         return cls(name=str(d["name"]), kind=str(d["kind"]), features=features,
                    train_size=int(d.get("train_size", 0)))
@@ -161,9 +162,12 @@ class BenchmarkConfig:
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
         if int(self.tau) < 1:
             raise ConfigError(f"tau must be >= 1, got {self.tau}")
+        if self.normalization not in data_io.NORMALIZATION_MODES:
+            raise ConfigError(f"unknown normalization mode {self.normalization!r}")
 
     @classmethod
     def from_dict(cls, d, fallback_seed=0):
+        check_keys(d, [f.name for f in fields(cls)], "benchmark config")
         if "stream" not in d:
             raise ConfigError("benchmark config needs a 'stream' entry")
         stream = data_io.resolve_data_spec(d["stream"], fallback_seed)

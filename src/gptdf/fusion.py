@@ -207,27 +207,15 @@ def ensemble_from_features(features, tau=DEFAULT_TAU, alpha=DEFAULT_ALPHA, mean=
                          alpha=alpha, tau=tau)
 
 
-def _cholesky_stack(V):
-    """Lower Cholesky factors of an (M, n, n) stack of covariances from one
-    `np.linalg.cholesky` call, each with the ridge `gp_core._cholesky_with_jitter` starts
-    from, and whether that one call succeeded. If the stack fails, each expert
-    is factored alone and one that fails again is handed to that helper, so
-    every expert ends with the jitter the dense `gp_core.predict` would give
-    it."""
-    n = V.shape[-1]
-    scale = np.trace(V, axis1=1, axis2=2) / n
-    ridged = V + (gp_core.JITTER_INITIAL * scale)[:, None, None] * np.eye(n)
-    try:
-        return np.linalg.cholesky(ridged), True
-    except np.linalg.LinAlgError:
-        pass
-    L = np.empty_like(V)
-    for j in range(V.shape[0]):
-        try:
-            L[j] = np.linalg.cholesky(ridged[j])
-        except np.linalg.LinAlgError:
-            L[j] = gp_core._cholesky_with_jitter(V[j])
-    return L, False
+def _inverse_factors(V):
+    """Inverse factors L_j^-1 of an (M, n, n) stack of window covariances, each
+    L_j the factor `gp_core._cholesky_with_jitter` gives the dense
+    `gp_core.predict`; and the factors to carry over, None unless every
+    expert took the first ridge, the only one `_slid_factors` extends."""
+    factors = [gp_core._cholesky_with_jitter(v) for v in V]
+    # a triangular inverse per expert costs a tenth of np.linalg.inv's LU
+    G = np.array([lapack.dtrtri(L, lower=1)[0] for L, _ in factors])
+    return G, G if all(jitter == gp_core.JITTER_INITIAL for _, jitter in factors) else None
 
 
 def _slid_factors(state, times, diagonal):
@@ -284,8 +272,8 @@ def _window_gains(state, t_star):
     G_j k*_j and gains rows_j' G_j from the window's inverse factors G_j, with
     G_j'G_j the inverse of V_j plus its ridge. `_slid_factors` gives them in
     O(M tau^2) when the window is the last miss's plus the point it predicted;
-    any other miss factors the whole (M, tau, tau) stack with `_cholesky_stack`
-    and inverts it, O(M tau^3).
+    any other miss factors each expert's window with `_inverse_factors`,
+    O(M tau^3).
     """
     times = np.array(state.window_times)
     offsets = t_star - times
@@ -298,23 +286,17 @@ def _window_gains(state, t_star):
     sf = np.array([m.kernel.output_scale for m in models])[:, None]
     sl = np.array([m.kernel.length_scale for m in models])[:, None]
     noise_var = np.array([m.noise_std for m in models]) ** 2
-    G = _slid_factors(state, times, sf[:, 0] ** 2 + noise_var)
-    first_ridge = True
+    prior = sf[:, 0] ** 2  # k(t*, t*) of each expert
+    G = carried = _slid_factors(state, times, prior + noise_var)
     if G is None:
         r = np.abs(times[:, None] - times[None, :])
         K = gp_core._matern52(sf[:, :, None], sl[:, :, None], r)
-        L, first_ridge = _cholesky_stack(K + noise_var[:, None, None] * np.eye(times.size))
-        # a triangular inverse per expert costs a tenth of np.linalg.inv's LU
-        G = np.array([lapack.dtrtri(f, lower=1)[0] for f in L])
+        G, carried = _inverse_factors(K + noise_var[:, None, None] * np.eye(times.size))
     k_star = gp_core._matern52(sf, sl, np.abs(offsets))
     rows = np.matmul(G, k_star[:, :, None])[:, :, 0]
     gains = np.matmul(rows[:, None, :], G)[:, 0]
-    prior = np.array([gp_core.eval_kernel(m.kernel, t_star, t_star) for m in models])
     variances = prior - np.einsum("ij,ij->i", rows, rows)
-    # A factor with escalated jitter is not the first-ridge factor that
-    # `_slid_factors` extends, so it is never carried over.
-    state._window_cache = _WindowCache(key, gains, variances, times, t_star,
-                                       G if first_ridge else None, rows)
+    state._window_cache = _WindowCache(key, gains, variances, times, t_star, carried, rows)
     return gains, variances
 
 
@@ -337,7 +319,7 @@ def fused_prediction(state, t_star):
             variances = np.maximum(variances, 0.0)
     else:
         means = mu
-        variances = np.array([gp_core.eval_kernel(m.kernel, t_star, t_star) for m in models])
+        variances = np.array([m.kernel.output_scale for m in models]) ** 2
     return fuse_predictions(means, variances, state.omega_hat)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +22,7 @@ from scipy import linalg as sla
 from scipy.linalg import lapack
 from scipy import optimize as sopt
 
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, check_keys
 
 __all__ = [
     "TimeSeries",
@@ -162,7 +162,8 @@ def build_noisy_covariance(K, noise_std):
 
 
 def _cholesky_with_jitter(V):
-    """Lower Cholesky factor of V + jitter*mean(diag(V))*I.
+    """Lower Cholesky factor of V + jitter*mean(diag(V))*I, and the jitter
+    factor it took.
 
     The jitter factor starts at JITTER_INITIAL and escalates tenfold until
     factorization succeeds or JITTER_MAX is exceeded.
@@ -176,7 +177,7 @@ def _cholesky_with_jitter(V):
     eye = np.eye(n)
     while factor <= JITTER_MAX:
         try:
-            return sla.cholesky(V + factor * scale * eye, lower=True)
+            return sla.cholesky(V + factor * scale * eye, lower=True), factor
         except sla.LinAlgError:
             factor *= 10.0
     raise NumericalError("covariance not positive definite")
@@ -251,7 +252,7 @@ def log_marginal_likelihood(model, data):
         raise DataError("cannot evaluate likelihood of an empty series")
     K = build_covariance(model.kernel, data.timestamps, data.timestamps)
     V = build_noisy_covariance(K, model.noise_std)
-    L = _cholesky_with_jitter(V)
+    L, _ = _cholesky_with_jitter(V)
     r = data.values - model.mean
     alpha = sla.cho_solve((L, True), r)
     return float(-0.5 * r @ alpha - np.log(np.diag(L)).sum() - 0.5 * len(data) * LOG_2PI)
@@ -270,7 +271,7 @@ def predict(model, train, t_star):
         return PredictiveDistribution(model.mean, eval_kernel(model.kernel, t_star, t_star))
     K = build_covariance(model.kernel, train.timestamps, train.timestamps)
     V = build_noisy_covariance(K, model.noise_std)
-    L = _cholesky_with_jitter(V)
+    L, _ = _cholesky_with_jitter(V)
     k_star = build_covariance(model.kernel, [t_star], train.timestamps)[0]
     alpha = sla.cho_solve((L, True), train.values - model.mean)
     mean = model.mean + float(k_star @ alpha)
@@ -293,7 +294,7 @@ def sample_prior(model, ts, seed):
         raise ValueError("timestamps must be strictly increasing")
     K = build_covariance(model.kernel, t, t)
     V = build_noisy_covariance(K, model.noise_std)
-    L = _cholesky_with_jitter(V)
+    L, _ = _cholesky_with_jitter(V)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     return model.mean + L @ rng.standard_normal(t.size)
 
@@ -337,12 +338,7 @@ class FitConfig:
 
     @classmethod
     def from_dict(cls, d):
-        if not isinstance(d, dict):
-            raise ValueError(f"fit config must be a JSON object, got {type(d).__name__}")
-        unknown = set(d) - {"sigma_f_bounds", "sigma_l_bounds", "sigma_n_bounds",
-                            "restarts", "seed"}
-        if unknown:
-            raise ValueError(f"unknown fit-config keys: {sorted(unknown)}")
+        check_keys(d, [f.name for f in fields(cls)], "fit-config")
         kwargs = {}
         for name in ("sigma_f_bounds", "sigma_l_bounds", "sigma_n_bounds"):
             if name in d:

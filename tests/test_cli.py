@@ -331,6 +331,18 @@ MALFORMED_SETTINGS = {
     "bench-fit-text": ("bench", json.dumps({**BENCH, "fit": ""})),
     "bench-list": ("bench", "[]"),
     "scenario-negative-seed": ("simulate", json.dumps({**scenario_dict(), "seed": -1})),
+    # a misspelled key would run with the default it meant to override
+    "scenario-unknown-key": ("simulate", json.dumps({**scenario_dict(), "tua": 5})),
+    "scenario-historical-unknown-key": ("simulate", json.dumps(
+        {**scenario_dict(), "historical": [{**scenario_dict()["historical"][0], "seeed": 3}]})),
+    "bench-unknown-key": ("bench", json.dumps({**BENCH, "orignal_scale": True})),
+    "bench-method-unknown-key": ("bench", json.dumps(
+        {**BENCH, "methods": [{**BENCH["methods"][0], "train_sise": 5}]})),
+    "scenario-unknown-normalization": ("simulate", json.dumps(
+        {**scenario_dict(), "normalization": "onlin"})),
+    "bench-unknown-normalization": ("bench", json.dumps({**BENCH, "normalization": "onlin"})),
+    "scenario-subset-names-no-node": ("simulate", json.dumps(
+        {**scenario_dict(), "subset": ["edge-99"]})),
 }
 
 
@@ -348,3 +360,4 @@ def test_malformed_settings_file_exits_2(capsys, tmp_path, stream_csv, command, 
     assert code == 2
     assert err.startswith(f"error: {path}: ")
     assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()  # no node ran

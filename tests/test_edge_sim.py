@@ -448,6 +448,10 @@ class TestSimulation:
             Scenario(nodes=(), target={}, limit=0)
         with pytest.raises(ConfigError):
             Scenario(nodes=(), target={}, seed=-1)
+        with pytest.raises(ConfigError, match="unknown normalization mode 'onlin'"):
+            Scenario(nodes=(), target={}, normalization="onlin")
+        with pytest.raises(ConfigError, match=r"subset \['edge-00', 'edge-99'\] names a node"):
+            Scenario(nodes=(NodeSpec("edge-00", {}),), target={}, subset=["edge-00", "edge-99"])
 
     def test_scenario_dict_round_trip(self):
         scenario = self._scenario(limit=4, subset=["edge-00"], seed=3)

@@ -258,6 +258,8 @@ class TestBenchmark:
             BenchmarkConfig(methods=(method,), stream=stream, alpha=0.0)
         with pytest.raises(ConfigError):
             BenchmarkConfig(methods=(method,), stream=stream, tau=0)
+        with pytest.raises(ConfigError, match="unknown normalization mode 'onlin'"):
+            BenchmarkConfig(methods=(method,), stream=stream, normalization="onlin")
 
     def test_original_scale_series(self):
         stream = TimeSeries.from_values(

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import dense_noisy
-from gptdf import gp_core
+from gptdf import fusion, gp_core
 from gptdf.data_io import generate_synthetic
 from gptdf.fusion import (
     EnsembleState,
@@ -432,16 +432,18 @@ def checked_step(state, t, y):
     assert_fused_matches_dense(state.models, window, t, fused)
 
 
-def count_cholesky(monkeypatch):
-    """Count the `np.linalg.cholesky` calls from here until the patch is undone."""
+def count_refactors(monkeypatch):
+    """Record the (M, n, n) shape of each window stack the online loop
+    factors afresh from here until the patch is undone; the dense reference
+    is not counted."""
     calls = []
-    real = np.linalg.cholesky
+    real = fusion._inverse_factors
 
-    def counted(a):
-        calls.append(a.shape)
-        return real(a)
+    def counted(V):
+        calls.append(V.shape)
+        return real(V)
 
-    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    monkeypatch.setattr(fusion, "_inverse_factors", counted)
     return calls
 
 
@@ -480,33 +482,40 @@ class TestBatchedExperts:
 
     @pytest.mark.parametrize("stubborn", [[3], list(range(16))])
     def test_cholesky_fallback_matches_dense(self, monkeypatch, stubborn):
-        """If the batched factorization fails, each expert is factored alone
-        and only those that fail again go through the dense jitter helper."""
-        real_cholesky = np.linalg.cholesky
+        """If an expert's window fails the first ridge, that expert climbs
+        the dense reference's jitter ladder; its factors are not carried to
+        the next miss, and the predictions still equal the dense reference's
+        under the same failures."""
+        real_cholesky = gp_core.sla.cholesky
         real_helper = gp_core._cholesky_with_jitter
         diagonals = [MIXED_FEATURES[j].sigma_f ** 2 + MIXED_FEATURES[j].sigma_n ** 2
                      for j in stubborn]
-        helper_calls = []
+        escalated = []
 
-        def is_stubborn(V):
-            return any(math.isclose(V[0, 0], d, rel_tol=1e-9) for d in diagonals)
+        def is_stubborn(V, ridge=0.0):
+            return any(math.isclose(V[0, 0], d * (1.0 + ridge), rel_tol=1e-12) for d in diagonals)
 
-        def failing_cholesky(a):
-            if a.ndim == 3 or is_stubborn(a):
-                raise np.linalg.LinAlgError("forced")
-            return real_cholesky(a)
+        def failing_cholesky(a, lower):
+            # the first rung adds JITTER_INITIAL times the (constant) diagonal
+            if is_stubborn(a, gp_core.JITTER_INITIAL):
+                raise gp_core.sla.LinAlgError("forced")
+            return real_cholesky(a, lower=lower)
 
-        def counted_helper(V, *args):
-            assert is_stubborn(V)
-            helper_calls.append(1)
-            return real_helper(V, *args)
+        def recorded_helper(V):
+            L, jitter = real_helper(V)
+            if jitter != gp_core.JITTER_INITIAL:
+                assert is_stubborn(V)
+                escalated.append(jitter)
+            return L, jitter
 
         stream = stream_on(range(20))
-        monkeypatch.setattr(np.linalg, "cholesky", failing_cholesky)
-        monkeypatch.setattr(gp_core, "_cholesky_with_jitter", counted_helper)
+        monkeypatch.setattr(gp_core.sla, "cholesky", failing_cholesky)
+        monkeypatch.setattr(gp_core, "_cholesky_with_jitter", recorded_helper)
+        refactors = count_refactors(monkeypatch)
         models, steps, misses, _ = online_predictions(MIXED_FEATURES, stream, 6)
-        monkeypatch.undo()
-        assert len(helper_calls) == misses * len(stubborn)
+        # without escalation only the first miss would factor; the rest slide
+        assert len(refactors) == misses
+        assert escalated == [10.0 * gp_core.JITTER_INITIAL] * (misses * len(stubborn))
         assert_matches_dense(models, stream, 6, steps)
 
     def test_variance_clamps_counted_like_dense(self, monkeypatch):
@@ -514,9 +523,16 @@ class TestBatchedExperts:
         state.window_times.extend(range(10))
         state.window_values.extend(np.linspace(-1.0, 1.0, 10).tolist())
         window = TimeSeries(np.array(state.window_times), np.array(state.window_values))
-        real = gp_core.eval_kernel
         # a prior variance below what the window explains drives every
-        # expert's predictive variance negative
+        # expert's predictive variance negative, on both paths
+        real_gains = fusion._window_gains
+
+        def shifted_gains(state, t_star):
+            gains, variances = real_gains(state, t_star)
+            return gains, variances - 10.0
+
+        monkeypatch.setattr(fusion, "_window_gains", shifted_gains)
+        real = gp_core.eval_kernel
         monkeypatch.setattr(gp_core, "eval_kernel", lambda k, a, b: real(k, a, b) - 10.0)
 
         before = gp_core.diagnostics["variance_clamps"]
@@ -536,7 +552,7 @@ class TestBatchedExperts:
         # come from the previous step's by appending and dropping a point.
         n, tau = 1200, 50
         stream = stream_on(jittered(n, rng), seed=1)
-        calls = count_cholesky(monkeypatch)
+        calls = count_refactors(monkeypatch)
         models, steps, misses, changes = online_predictions(MIXED_FEATURES, stream, tau)
         monkeypatch.undo()
         assert calls == [(16, 1, 1)]
@@ -550,7 +566,7 @@ class TestBatchedExperts:
         state = ensemble_from_features(MIXED_FEATURES[:4], tau=tau)
         for k in range(tau + 2):
             gptdf_step(state, (t[k], math.sin(t[k])))
-        calls = count_cholesky(monkeypatch)
+        calls = count_refactors(monkeypatch)
         for k in range(tau + 2, t.size):
             checked_step(state, t[k], math.sin(t[k]))
         assert calls == []
@@ -558,7 +574,7 @@ class TestBatchedExperts:
     def test_filling_window_factors_once(self, monkeypatch):
         tau = 16
         stream = stream_on(range(tau + 4))
-        calls = count_cholesky(monkeypatch)
+        calls = count_refactors(monkeypatch)
         models, steps, misses, _ = online_predictions(MIXED_FEATURES, stream, tau)
         monkeypatch.undo()
         assert misses == tau
@@ -573,7 +589,7 @@ class TestBatchedExperts:
         state = ensemble_from_features(MIXED_FEATURES[::2], tau=tau, mean=0.25)
         for k in range(25):
             gptdf_step(state, (t[k], math.cos(t[k])))
-        calls = count_cholesky(monkeypatch)
+        calls = count_refactors(monkeypatch)
         t_probe = t[25] - 0.3
         assert_fused_matches_dense(state.models, current_window(state), t_probe,
                                    fused_prediction(state, t_probe))
@@ -590,14 +606,14 @@ class TestBatchedExperts:
         # replace the stepped window by hand: its factors no longer apply
         state.window_times.extend(t[:tau].tolist())
         state.window_values.extend(np.linspace(-1.0, 1.0, tau).tolist())
-        calls = count_cholesky(monkeypatch)
+        calls = count_refactors(monkeypatch)
         for k in range(tau, t.size):
             checked_step(state, t[k], float(k % 3))
         assert len(calls) == 1
 
     def test_window_of_one_point(self, monkeypatch, rng):
         stream = stream_on(jittered(30, rng))
-        calls = count_cholesky(monkeypatch)
+        calls = count_refactors(monkeypatch)
         models, steps, misses, changes = online_predictions(MIXED_FEATURES, stream, 1)
         monkeypatch.undo()
         assert misses == changes == 29
@@ -613,7 +629,7 @@ class TestBatchedExperts:
         # rows far longer than the prior standard deviation leave no
         # positive d^2 for the appended point
         state._window_cache = state._window_cache._replace(rows=1e3 * state._window_cache.rows)
-        calls = count_cholesky(monkeypatch)
+        calls = count_refactors(monkeypatch)
         checked_step(state, t[tau + 2], 0.0)
         assert len(calls) == 1
 
@@ -637,7 +653,7 @@ class TestInverseFactors:
         tau = 12
         t = jittered(3 * tau, rng)
         state = ensemble_from_features(MIXED_FEATURES, tau=tau)
-        calls = count_cholesky(monkeypatch)
+        calls = count_refactors(monkeypatch)
         for k in range(t.size):
             gptdf_step(state, (t[k], math.sin(t[k])))
             if k:
@@ -664,7 +680,7 @@ class TestInverseFactors:
         rows[:, 0] *= flip
         state._window_cache = cached._replace(factors=factors, rows=rows)
         assert ((factors[:, 0, 0] >= 0.0) == nonnegative_pivot).all()
-        calls = count_cholesky(monkeypatch)
+        calls = count_refactors(monkeypatch)
         for k in range(tau + 2, t.size):
             checked_step(state, t[k], math.cos(t[k]))
             assert_inverse_factors(state, 1e-10)
@@ -676,7 +692,7 @@ class TestInverseFactors:
         n, tau = 3000, 100
         features = [TemporalFeature(1.0, sigma_l, 0.1) for sigma_l in (10.0, 20.0, 40.0)]
         stream = stream_on(jittered(n, rng), seed=2)
-        calls = count_cholesky(monkeypatch)
+        calls = count_refactors(monkeypatch)
         models, steps, misses, changes = online_predictions(features, stream, tau)
         monkeypatch.undo()
         assert calls == [(3, 1, 1)]

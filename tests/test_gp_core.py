@@ -138,8 +138,17 @@ class TestCholeskyJitter:
 
     def test_singular_psd_recovers_via_jitter(self):
         ones = np.ones((3, 3))  # rank one, singular
-        L = _cholesky_with_jitter(ones)
+        L, _ = _cholesky_with_jitter(ones)
         np.testing.assert_allclose(L @ L.T, ones, atol=1e-6)
+
+    def test_returns_the_factor_it_took(self):
+        # smallest eigenvalue about -5e-9 at unit scale: rungs 1e-10 and
+        # 1e-9 fail, 1e-8 succeeds
+        V = np.array([[1.0, 1.0], [1.0, 1.0 - 1e-8]])
+        L, factor = _cholesky_with_jitter(V)
+        assert factor == pytest.approx(100.0 * gp_core.JITTER_INITIAL)
+        np.testing.assert_allclose(L @ L.T, V + factor * np.trace(V) / 2 * np.eye(2), atol=1e-15)
+        assert _cholesky_with_jitter(np.eye(2))[1] == gp_core.JITTER_INITIAL
 
 
 class TestLogMarginalLikelihood:
