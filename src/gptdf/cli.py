@@ -14,12 +14,13 @@ import sys
 import click
 
 from . import data_io, edge_sim, evaluation, fusion, gp_core
-from .errors import MALFORMED, ConfigError, DataError, NumericalError, PartialFailure
+from .errors import MALFORMED, ConfigError, DataError, NumericalError, PartialFailure, read_settings
 
 
 @click.group()
 @click.option("--seed", type=click.IntRange(0), default=0, show_default=True,
-              help="Seed for anything stochastic (generation, fitting restarts).")
+              help="Seeds generate's series, fit's restarts and the synthetic data of simulate "
+                   "and bench; a seed set in a settings file wins, and their fits use fit.seed.")
 @click.pass_context
 def cli(ctx, seed):
     """Gaussian-process temporal data fusion tools."""
@@ -39,11 +40,17 @@ def _load_config(path, build):
         raise ConfigError(f"{path}: {detail}") from exc
 
 
+def _column(ctx, param, value):
+    """A column selector: an index when it reads as an integer, else a header name."""
+    return int(value) if value is not None and value.removeprefix("-").isdecimal() else value
+
+
 @cli.command()
 @click.argument("csv_path", type=click.Path())
-@click.option("--column", default="0", show_default=True,
+@click.option("--column", default="0", show_default=True, callback=_column,
               help="Value column, by index or header name.")
-@click.option("--time-column", default=None, help="Optional time column (index or name).")
+@click.option("--time-column", default=None, callback=_column,
+              help="Optional time column (index or name).")
 @click.option("--restarts", type=click.IntRange(1), default=None,
               help="Override the restart count.")
 @click.option("--fit-config", "fit_config_path", type=click.Path(), default=None,
@@ -52,9 +59,6 @@ def _load_config(path, build):
 @click.pass_context
 def fit(ctx, csv_path, column, time_column, restarts, fit_config_path, no_normalize):
     """Fit the temporal feature triple of a CSV series; print it as JSON."""
-    column = int(column) if column.lstrip("-").isdigit() else column
-    if time_column is not None and time_column.lstrip("-").isdigit():
-        time_column = int(time_column)
     series = data_io.load_csv(csv_path, column=column, time_column=time_column)
     if not no_normalize:
         series, _ = data_io.normalize(series)
@@ -95,17 +99,11 @@ def generate(ctx, sigma_f, sigma_l, sigma_n, length, out):
             target.close()
 
 
-def _feature_list(raw):
-    if not isinstance(raw, list) or not raw:
-        raise ValueError("expected a nonempty JSON list of feature triples")
-    return [gp_core.TemporalFeature.from_dict(d) for d in raw]
-
-
 @cli.command()
 @click.argument("stream_csv", type=click.Path())
 @click.option("--features", "features_path", type=click.Path(), required=True,
               help="JSON file: list of {sigma_f, sigma_l, sigma_n} triples.")
-@click.option("--column", default="0", show_default=True)
+@click.option("--column", default="0", show_default=True, callback=_column)
 @click.option("--tau", type=click.IntRange(1), default=fusion.DEFAULT_TAU, show_default=True)
 @click.option("--alpha", type=float, default=fusion.DEFAULT_ALPHA, show_default=True)
 @click.option("--limit", type=click.IntRange(1), default=None,
@@ -119,10 +117,12 @@ def predict(stream_csv, features_path, column, tau, alpha, limit, normalization,
     as line-delimited JSON."""
     if not 0.0 < alpha < 1.0:  # unlike click.FloatRange, also rejects NaN
         raise click.BadParameter(f"must lie in (0, 1), got {alpha}", param_hint="'--alpha'")
-    column = int(column) if column.lstrip("-").isdigit() else column
     stream = data_io.load_csv(stream_csv, column=column)
-    features = _load_config(features_path, _feature_list)[:limit]
-    state = fusion.ensemble_from_features(features, tau=tau, alpha=alpha)
+    features = _load_config(features_path, lambda raw: read_settings(
+        raw, [gp_core.TemporalFeature.from_dict], "feature list"))
+    if not features:
+        raise ConfigError(f"{features_path}: expected a nonempty JSON list of feature triples")
+    state = fusion.ensemble_from_features(features[:limit], tau=tau, alpha=alpha)
     prepared = data_io.prepare_stream(stream, normalization)
     records = fusion.run_stream(state, prepared.series)
     target = open(out, "w", encoding="utf-8") if out else sys.stdout

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MALFORMED, ConfigError, DataError
+from .errors import MALFORMED, ConfigError, DataError, read_settings
 from .gp_core import GPModel, Matern52, TemporalFeature, TimeSeries, sample_prior
 
 NORMALIZATION_MODES = ("online", "offline", "none")
@@ -22,6 +22,7 @@ __all__ = [
     "normalize",
     "prepare_stream",
     "generate_synthetic",
+    "check_data_spec",
     "resolve_data_spec",
 ]
 
@@ -214,9 +215,8 @@ def generate_synthetic(feature, n, seed):
     """Sample a noise-free prior path from the feature's kernel at integer
     times 0..n-1, then add independent observation noise of level sigma_n.
     Deterministic per seed."""
-    if int(n) < 1:
+    if (n := int(n)) < 1:
         raise ValueError("n must be >= 1")
-    n = int(n)
     ts = np.arange(n, dtype=float)
     rng = np.random.default_rng(seed)
     latent_model = GPModel(Matern52(feature.sigma_f, feature.sigma_l), noise_std=0.0)
@@ -225,22 +225,30 @@ def generate_synthetic(feature, n, seed):
     return TimeSeries(ts, y)
 
 
-def resolve_data_spec(spec, fallback_seed=0):
-    """Materialize a data description into a TimeSeries.
+_CSV_SPEC = {"csv": str, "column": (int, str), "time_column": (int, str, type(None))}
+_SYNTHETIC_SPEC = {"sigma_f": float, "sigma_l": float, "sigma_n": float, "n": int, "seed": int}
 
-    Accepts {"csv": path, "column": ..., "time_column": ...} or
-    {"synthetic": {"sigma_f", "sigma_l", "sigma_n", "n", "seed"?}}.
-    """
-    if not isinstance(spec, dict):
-        raise ConfigError(f"data spec must be a mapping, got {type(spec).__name__}")
+
+def check_data_spec(spec, what="data spec"):
+    """Check a data spec, {"csv": path, "column"?, "time_column"?} or
+    {"synthetic": {"sigma_f", "sigma_l", "sigma_n", "n", "seed"?}}, without
+    reading a CSV or generating data; raise ConfigError naming `what` if it is malformed.
+    Return its loader: a function of the seed for a synthetic spec without one."""
     try:
-        if "csv" in spec:
-            return load_csv(spec["csv"], column=spec.get("column", 0),
-                            time_column=spec.get("time_column"))
-        if "synthetic" in spec:
-            s = spec["synthetic"]
-            feature = TemporalFeature(float(s["sigma_f"]), float(s["sigma_l"]), float(s["sigma_n"]))
-            return generate_synthetic(feature, int(s["n"]), int(s.get("seed", fallback_seed)))
+        if isinstance(spec, dict) and "synthetic" in spec:
+            s = read_settings(spec, {"synthetic": _SYNTHETIC_SPEC}, "data spec")["synthetic"]
+            feature, n = TemporalFeature(s["sigma_f"], s["sigma_l"], s["sigma_n"]), s["n"]
+            if n < 1 or s.get("seed", 0) < 0:
+                raise ValueError(f"synthetic n must be >= 1 and seed >= 0: {s}")
+            return lambda seed: generate_synthetic(feature, n, s.get("seed", seed))
+        s = read_settings(spec, _CSV_SPEC, "data spec")
+        path = s.pop("csv")
+        return lambda seed: load_csv(path, **s)
     except MALFORMED as exc:
-        raise ConfigError(f"bad data spec: {exc}") from exc
-    raise ConfigError("data spec needs a 'csv' or 'synthetic' entry")
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ConfigError(f"bad {what}: {detail}") from exc
+
+
+def resolve_data_spec(spec, fallback_seed=0):
+    """Materialize a data spec (see `check_data_spec`) into a TimeSeries."""
+    return check_data_spec(spec)(fallback_seed)

@@ -18,12 +18,12 @@ import socket
 import socketserver
 import threading
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import data_io, evaluation, fusion, gp_core
-from .errors import MALFORMED, ConfigError, DataError, GptdfError, TransportError, check_keys
+from .errors import MALFORMED, ConfigError, DataError, GptdfError, TransportError, read_settings
 from .gp_core import FitConfig, TemporalFeature
 
 __all__ = [
@@ -99,7 +99,8 @@ class FeatureRecord:
     @classmethod
     def from_message(cls, msg):
         return cls(source_id=str(msg["source_id"]),
-                   feature=TemporalFeature.from_dict(msg),
+                   feature=TemporalFeature.from_dict(
+                       {k: msg[k] for k in ("sigma_f", "sigma_l", "sigma_n")}),
                    n_points=int(msg["n_points"]),
                    fitted_at=int(msg["fitted_at"]))
 
@@ -367,7 +368,7 @@ class SocketChannel(_Channel):
 
 @dataclass(frozen=True)
 class NodeSpec:
-    node_id: str
+    id: str
     data: dict  # data spec for data_io.resolve_data_spec
 
 
@@ -376,8 +377,8 @@ class Scenario:
     """Everything needed to run one topology: historical node datasets, the
     target stream, loop settings, and the model-subset selection."""
 
-    nodes: tuple
     target: dict
+    nodes: tuple = ()
     target_id: str = "target"
     tau: int = fusion.DEFAULT_TAU
     alpha: float = fusion.DEFAULT_ALPHA
@@ -388,7 +389,7 @@ class Scenario:
     fit: FitConfig = field(default_factory=FitConfig)
 
     def __post_init__(self):
-        ids = [n.node_id for n in self.nodes]
+        ids = [n.id for n in self.nodes]
         if len(set(ids)) != len(ids):
             raise ConfigError(f"duplicate node ids: {ids}")
         if self.target_id in ids:
@@ -407,43 +408,27 @@ class Scenario:
             raise ConfigError(f"limit must be >= 1, got {self.limit}")
         if int(self.seed) < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for node in (*self.nodes, NodeSpec(self.target_id, self.target)):
+            data_io.check_data_spec(node.data, f"data spec of {node.id}")
 
     @classmethod
     def from_dict(cls, d):
-        check_keys(d, ("historical", "target", "target_id", "tau", "alpha", "limit", "subset",
-                       "normalization", "seed", "fit"), "scenario")
-        if "target" not in d:
-            raise ConfigError("scenario needs a 'target' entry")
-        raw_nodes = d.get("historical", [])
-        nodes = []
-        for i, nd in enumerate(raw_nodes):
-            if set(nd) != {"id", "data"}:
-                raise ConfigError(f"historical entry {i} has keys {sorted(nd)}, not 'id' and 'data'")
-            nodes.append(NodeSpec(str(nd["id"]), nd["data"]))
-        subset = d.get("subset", "all")
-        return cls(nodes=tuple(nodes), target=d["target"],
-                   target_id=str(d.get("target_id", "target")),
-                   tau=int(d.get("tau", fusion.DEFAULT_TAU)),
-                   alpha=float(d.get("alpha", fusion.DEFAULT_ALPHA)),
-                   limit=None if d.get("limit") is None else int(d["limit"]),
-                   subset=subset,
-                   normalization=str(d.get("normalization", "online")),
-                   seed=int(d.get("seed", 0)),
-                   fit=FitConfig.from_dict(d["fit"]) if "fit" in d else FitConfig())
+        def node(e):
+            return NodeSpec(**read_settings(e, {"id": str, "data": dict}, "historical entry"))
+        s = read_settings(d, {"historical": [node], "target": dict, "target_id": str,
+                              "tau": int, "alpha": float, "limit": (int, type(None)),
+                              "subset": (str, list), "normalization": str, "seed": int,
+                              "fit": FitConfig.from_dict}, "scenario")
+        if "historical" in s:
+            s["nodes"] = s.pop("historical")
+        return cls(**s)
 
     def as_dict(self):
-        return {
-            "historical": [{"id": n.node_id, "data": n.data} for n in self.nodes],
-            "target": self.target,
-            "target_id": self.target_id,
-            "tau": self.tau,
-            "alpha": self.alpha,
-            "limit": self.limit,
-            "subset": list(self.subset) if self.subset != "all" else "all",
-            "normalization": self.normalization,
-            "seed": self.seed,
-            "fit": self.fit.as_dict(),
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d.update(historical=[asdict(n) for n in d.pop("nodes")],
+                 subset=self.subset if self.subset == "all" else list(self.subset),
+                 fit=self.fit.as_dict())
+        return d
 
 
 @dataclass(frozen=True)
@@ -538,11 +523,11 @@ def run_simulation(scenario, registry=None, channel=None):
     for idx, node in enumerate(scenario.nodes):
         try:
             local = data_io.resolve_data_spec(node.data, fallback_seed=node_seeds[idx])
-            record = run_edge_node(local, "historical", channel, node.node_id,
+            record = run_edge_node(local, "historical", channel, node.id,
                                    fitted_at=idx, fit_config=scenario.fit)
             feature_records.append(record)
         except recoverable as exc:
-            errors.append((node.node_id, str(exc)))
+            errors.append((node.id, str(exc)))
 
     target_report = None
     try:

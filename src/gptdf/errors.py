@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one settings reader.
 
 The CLI maps these onto exit codes: config/usage problems exit 2, data
 problems exit 3, numerical failures exit 4, and a simulation that produced
@@ -38,10 +38,32 @@ class PartialFailure(GptdfError):
 MALFORMED = (KeyError, TypeError, ValueError, ArithmeticError, RecursionError)
 
 
-def check_keys(d, allowed, what):
-    """Raise ValueError unless the settings entry `d` is a JSON object whose
-    keys all lie in `allowed`: a misspelled key would run with its default."""
-    if not isinstance(d, dict):
-        raise ValueError(f"{what} must be a JSON object, got {type(d).__name__}")
-    if not set(d) <= set(allowed):
-        raise ValueError(f"unknown {what} keys: {sorted(set(d) - set(allowed))}")
+_JSON_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false",
+               type(None): "null", list: "a JSON list", dict: "a JSON object"}
+
+
+def read_settings(value, kind, what):
+    """Return the settings value `value` checked against `kind`, converting
+    nothing; raise ValueError, naming `what`, on a mismatch. `kind` is
+    - a dict of the keys a JSON object may hold, each mapped to the kind of
+      its value: an absent key is left out, so the caller's defaults hold;
+    - [k]: a JSON list of values of kind k, returned as a tuple;
+    - a JSON type or a tuple of them (int, float, str, bool, type(None),
+      list, dict): an integer is a valid float, a boolean is no number;
+    - any other callable: a builder that reads a nested entry."""
+    if isinstance(kind, dict):
+        unknown = set(read_settings(value, dict, what)) - set(kind)
+        if unknown:
+            raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+        return {key: read_settings(v, kind[key], f"{what} {key!r}") for key, v in value.items()}
+    if isinstance(kind, list):
+        return tuple(read_settings(v, kind[0], f"{what}[{i}]")
+                     for i, v in enumerate(read_settings(value, list, what)))
+    if not isinstance(kind, (type, tuple)):
+        return kind(value)
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if (bool in kinds if isinstance(value, bool) else
+            isinstance(value, kinds) or float in kinds and isinstance(value, int)):
+        return value
+    raise ValueError(f"{what} must be {' or '.join(_JSON_NAMES[k] for k in kinds)}, "
+                     f"got {value!r:.60}")

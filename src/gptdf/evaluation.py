@@ -7,12 +7,12 @@ from __future__ import annotations
 import io
 import csv
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import data_io, fusion, gp_core
-from .errors import ConfigError, DataError, GptdfError, check_keys
+from .errors import ConfigError, DataError, GptdfError, read_settings
 from .fusion import gaussian_log_density
 from .gp_core import FitConfig, TemporalFeature
 
@@ -136,10 +136,9 @@ class BenchmarkMethod:
 
     @classmethod
     def from_dict(cls, d):
-        check_keys(d, [f.name for f in fields(cls)], "benchmark method")
-        features = tuple(TemporalFeature.from_dict(f) for f in d.get("features", ()))
-        return cls(name=str(d["name"]), kind=str(d["kind"]), features=features,
-                   train_size=int(d.get("train_size", 0)))
+        return cls(**read_settings(d, {"name": str, "kind": str,
+                                       "features": [TemporalFeature.from_dict],
+                                       "train_size": int}, "benchmark method"))
 
 
 @dataclass(frozen=True)
@@ -167,17 +166,11 @@ class BenchmarkConfig:
 
     @classmethod
     def from_dict(cls, d, fallback_seed=0):
-        check_keys(d, [f.name for f in fields(cls)], "benchmark config")
-        if "stream" not in d:
-            raise ConfigError("benchmark config needs a 'stream' entry")
-        stream = data_io.resolve_data_spec(d["stream"], fallback_seed)
-        methods = tuple(BenchmarkMethod.from_dict(m) for m in d.get("methods", ()))
-        return cls(methods=methods, stream=stream,
-                   tau=int(d.get("tau", fusion.DEFAULT_TAU)),
-                   alpha=float(d.get("alpha", fusion.DEFAULT_ALPHA)),
-                   normalization=str(d.get("normalization", "online")),
-                   original_scale=bool(d.get("original_scale", False)),
-                   fit=FitConfig.from_dict(d["fit"]) if "fit" in d else FitConfig())
+        return cls(**read_settings(d, {
+            "methods": [BenchmarkMethod.from_dict],
+            "stream": lambda spec: data_io.resolve_data_spec(spec, fallback_seed),
+            "tau": int, "alpha": float, "normalization": str, "original_scale": bool,
+            "fit": FitConfig.from_dict}, "benchmark config"))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from scipy import linalg as sla
 from scipy.linalg import lapack
 from scipy import optimize as sopt
 
-from .errors import DataError, NumericalError, check_keys
+from .errors import DataError, NumericalError, read_settings
 
 __all__ = [
     "TimeSeries",
@@ -223,7 +223,9 @@ class TemporalFeature:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(float(d["sigma_f"]), float(d["sigma_l"]), float(d["sigma_n"]))
+        """Read a triple from a JSON object holding exactly its three numbers."""
+        return cls(**read_settings(d, dict.fromkeys(("sigma_f", "sigma_l", "sigma_n"), float),
+                                   "feature"))
 
 
 @dataclass(frozen=True)
@@ -317,36 +319,25 @@ class FitConfig:
 
     def __post_init__(self):
         for name in ("sigma_f_bounds", "sigma_l_bounds", "sigma_n_bounds"):
-            lo, hi = getattr(self, name)
+            lo, hi = (float(x) for x in getattr(self, name))
             # the objective squares each parameter: a square must not underflow or overflow
             if not (0.0 < lo < hi and lo * lo >= np.finfo(float).tiny and hi * hi < math.inf):
                 raise ValueError(f"{name} must satisfy 0 < low < high with both squares "
                                  f"positive normal floats, got ({lo}, {hi})")
+            object.__setattr__(self, name, (lo, hi))
         if int(self.restarts) < 1 or int(self.seed) < 0:
             raise ValueError(f"restarts must be >= 1 and seed >= 0, "
                              f"got {self.restarts} and {self.seed}")
         object.__setattr__(self, "restarts", int(self.restarts))
 
     def as_dict(self):
-        return {
-            "sigma_f_bounds": list(self.sigma_f_bounds),
-            "sigma_l_bounds": list(self.sigma_l_bounds),
-            "sigma_n_bounds": list(self.sigma_n_bounds),
-            "restarts": self.restarts,
-            "seed": self.seed,
-        }
+        return {f.name: list(v) if isinstance(v := getattr(self, f.name), tuple) else v
+                for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d):
-        check_keys(d, [f.name for f in fields(cls)], "fit-config")
-        kwargs = {}
-        for name in ("sigma_f_bounds", "sigma_l_bounds", "sigma_n_bounds"):
-            if name in d:
-                kwargs[name] = tuple(float(x) for x in d[name])
-        for name in ("restarts", "seed"):
-            if name in d:
-                kwargs[name] = int(d[name])
-        return cls(**kwargs)
+        bounds = dict.fromkeys(("sigma_f_bounds", "sigma_l_bounds", "sigma_n_bounds"), [float])
+        return cls(**read_settings(d, {**bounds, "restarts": int, "seed": int}, "fit-config"))
 
 
 # Matern-5/2 as a linear SDE (Hartikainen & Sarkka, MLSP 2010). With

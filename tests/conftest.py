@@ -6,6 +6,7 @@ can serve as independent references for prediction and likelihood values.
 """
 
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from gptdf.gp_core import eval_kernel
 
 LOG_2PI = math.log(2.0 * math.pi)
+DEMOS = pathlib.Path(__file__).resolve().parents[1] / "demos"
 
 # Fitted feature triples used as fixtures throughout: four experts with short
 # length scales (~2.1-2.4) and four with long ones (~4.6-9.6).

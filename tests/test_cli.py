@@ -343,6 +343,28 @@ MALFORMED_SETTINGS = {
     "bench-unknown-normalization": ("bench", json.dumps({**BENCH, "normalization": "onlin"})),
     "scenario-subset-names-no-node": ("simulate", json.dumps(
         {**scenario_dict(), "subset": ["edge-99"]})),
+    # a value of the wrong JSON type is rejected, never converted
+    "scenario-tau-fraction": ("simulate", json.dumps({**scenario_dict(), "tau": 2.7})),
+    "scenario-tau-boolean": ("simulate", json.dumps({**scenario_dict(), "tau": True})),
+    "scenario-limit-fraction": ("simulate", json.dumps({**scenario_dict(), "limit": 2.5})),
+    "scenario-target-n-fraction": ("simulate", json.dumps(
+        {**scenario_dict(), "target": {"synthetic": {
+            **scenario_dict()["target"]["synthetic"], "n": 30.9}}})),
+    "scenario-target-misspelled-seed": ("simulate", json.dumps(
+        {**scenario_dict(), "target": {"synthetic": {
+            **scenario_dict()["target"]["synthetic"], "sed": 5}}})),
+    "scenario-target-csv-and-synthetic": ("simulate", json.dumps(
+        {**scenario_dict(), "target": {"csv": "STREAM_CSV", "column": "y",
+                                       **scenario_dict()["target"]}})),
+    "bench-original-scale-text": ("bench", json.dumps({**BENCH, "original_scale": "false"})),
+    "bench-method-train-size-fraction": ("bench", json.dumps(
+        {**BENCH, "stream": {"synthetic": {**BENCH["stream"]["synthetic"], "n": 80}},
+         "methods": [{"name": "b", "kind": "baseline", "train_size": 50.9}]})),
+    "fit-config-restarts-fraction": ("fit", '{"restarts": 2.9}'),
+    "predict-feature-unknown-key": ("predict", json.dumps(
+        [{"sigma_f": 1.0, "sigma_l": 2.0, "sigma_n": 0.1, "sigmaf": 9}])),
+    "predict-feature-boolean": ("predict", json.dumps(
+        [{"sigma_f": True, "sigma_l": 2.0, "sigma_n": 0.1}])),
 }
 
 
@@ -350,7 +372,7 @@ MALFORMED_SETTINGS = {
                          ids=MALFORMED_SETTINGS.keys())
 def test_malformed_settings_file_exits_2(capsys, tmp_path, stream_csv, command, text):
     path = tmp_path / "settings.json"
-    path.write_text(text)
+    path.write_text(text.replace("STREAM_CSV", str(stream_csv)))
     args = {"bench": ["bench", str(path)],
             "simulate": ["simulate", str(path), "--out-dir", str(tmp_path / "out")],
             "fit": ["fit", str(stream_csv), "--column", "y", "--fit-config", str(path)],

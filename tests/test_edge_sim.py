@@ -36,6 +36,8 @@ from gptdf.edge_sim import (
 from gptdf.errors import ConfigError, DataError, GptdfError, TransportError
 from gptdf.gp_core import FitConfig, TemporalFeature, TimeSeries
 
+from conftest import DEMOS
+
 FEATURE = TemporalFeature(0.8, 2.0, 0.1)
 
 
@@ -108,11 +110,13 @@ class TestRegistry:
 
     def test_invalid_feature_rejected_with_reason(self):
         registry = CloudRegistry()
-        msg = record().to_message()
-        msg["sigma_l"] = 0.0
-        ack = registry.report(msg)
-        assert not ack.accepted
-        assert "sigma_l" in ack.reason
+        # a value of the wrong JSON type is rejected like one out of range
+        for key, bad in (("sigma_l", 0.0), ("sigma_f", True), ("sigma_n", "0.1")):
+            msg = record().to_message()
+            msg[key] = bad
+            ack = registry.report(msg)
+            assert not ack.accepted
+            assert key in ack.reason
         assert len(registry.query(FeatureQuery("target"))) == 0
 
     def test_limit_and_recency_order(self):
@@ -434,29 +438,53 @@ class TestSimulation:
         assert result.target_report is not None  # target still ran
 
     def test_scenario_validation(self):
-        with pytest.raises(ConfigError):
-            Scenario(nodes=(NodeSpec("a", {}), NodeSpec("a", {})), target={})
-        with pytest.raises(ConfigError):
-            Scenario(nodes=(NodeSpec("target", {}),), target={})
-        with pytest.raises(ConfigError):
-            Scenario(nodes=(), target={}, subset=5)
-        with pytest.raises(ConfigError):
-            Scenario(nodes=(), target={}, alpha=1.0)
-        with pytest.raises(ConfigError):
-            Scenario(nodes=(), target={}, tau=0)
-        with pytest.raises(ConfigError):
-            Scenario(nodes=(), target={}, limit=0)
-        with pytest.raises(ConfigError):
-            Scenario(nodes=(), target={}, seed=-1)
+        spec = synthetic_spec(30, 1)  # valid, so each case reaches only its own check
+        with pytest.raises(ConfigError, match="duplicate node ids"):
+            Scenario(nodes=(NodeSpec("a", spec), NodeSpec("a", spec)), target=spec)
+        with pytest.raises(ConfigError, match="collides with a historical node"):
+            Scenario(nodes=(NodeSpec("target", spec),), target=spec)
+        with pytest.raises(ConfigError, match="subset must be 'all' or a list"):
+            Scenario(nodes=(), target=spec, subset=5)
+        with pytest.raises(ConfigError, match="alpha must lie in"):
+            Scenario(nodes=(), target=spec, alpha=1.0)
+        with pytest.raises(ConfigError, match="tau must be >= 1"):
+            Scenario(nodes=(), target=spec, tau=0)
+        with pytest.raises(ConfigError, match="limit must be >= 1"):
+            Scenario(nodes=(), target=spec, limit=0)
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            Scenario(nodes=(), target=spec, seed=-1)
         with pytest.raises(ConfigError, match="unknown normalization mode 'onlin'"):
-            Scenario(nodes=(), target={}, normalization="onlin")
+            Scenario(nodes=(), target=spec, normalization="onlin")
         with pytest.raises(ConfigError, match=r"subset \['edge-00', 'edge-99'\] names a node"):
-            Scenario(nodes=(NodeSpec("edge-00", {}),), target={}, subset=["edge-00", "edge-99"])
+            Scenario(nodes=(NodeSpec("edge-00", spec),), target=spec,
+                     subset=["edge-00", "edge-99"])
+        # a malformed data spec is reported under its node's id
+        with pytest.raises(ConfigError, match=r"^bad data spec of edge-01: unknown .*'sed'"):
+            Scenario(nodes=(NodeSpec("edge-00", spec), NodeSpec("edge-01", {"synthetic": {
+                **spec["synthetic"], "sed": 5}})), target=spec)
+        with pytest.raises(ConfigError, match=r"^bad data spec of target: synthetic n must be >= 1"):
+            Scenario(nodes=(), target={"synthetic": {**spec["synthetic"], "n": 0}})
+        with pytest.raises(ConfigError, match=r"^bad data spec of target: .* seed >= 0"):
+            Scenario(nodes=(), target={"synthetic": {**spec["synthetic"], "seed": -1}})
 
     def test_scenario_dict_round_trip(self):
         scenario = self._scenario(limit=4, subset=["edge-00"], seed=3)
         rebuilt = Scenario.from_dict(scenario.as_dict())
         assert rebuilt.as_dict() == scenario.as_dict()
+        # settings files: JSON integers where floats are expected, a null
+        # limit and both kinds of time column are read, and echoed as written
+        demo = json.loads((DEMOS / "scenario_small.json").read_text(encoding="utf-8"))
+        integers = {"historical": [{"id": "edge-00", "data": {"csv": "a.csv", "time_column": "t"}},
+                                   {"id": "edge-01", "data": {"csv": "b.csv", "column": 1,
+                                                              "time_column": 0}}],
+                    "target": {"synthetic": {"sigma_f": 1, "sigma_l": 2, "sigma_n": 0, "n": 30}},
+                    "alpha": 0.5, "limit": None, "fit": {"sigma_f_bounds": [1, 1000]}}
+        for raw in (demo, integers):
+            echoed = Scenario.from_dict(raw).as_dict()
+            assert Scenario.from_dict(echoed).as_dict() == echoed
+            assert {key: echoed[key] for key in raw if key != "fit"} == {
+                key: value for key, value in raw.items() if key != "fit"}
+            assert {key: echoed["fit"][key] for key in raw["fit"]} == raw["fit"]
 
     def test_rerun_with_persistent_registry_stays_idempotent(self, tmp_path):
         path = str(tmp_path / "registry.jsonl")

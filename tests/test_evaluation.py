@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 import math
 
 import numpy as np
@@ -26,7 +27,7 @@ from gptdf.evaluation import (
 from gptdf.fusion import StepRecord, fuse_predictions
 from gptdf.gp_core import FitConfig, PredictiveDistribution, TemporalFeature, TimeSeries
 
-from conftest import LONG_SCALE_FEATURES, SHORT_SCALE_FEATURES
+from conftest import DEMOS, LONG_SCALE_FEATURES, SHORT_SCALE_FEATURES
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -272,7 +273,7 @@ class TestBenchmark:
         ys = [row["y"] for row in report.series["m"]]
         np.testing.assert_allclose(ys, stream.values, atol=1e-9)
 
-    def test_config_from_dict(self):
+    def test_config_from_dict(self, tmp_path):
         raw = {
             "stream": {"synthetic": {"sigma_f": 0.8, "sigma_l": 2.0, "sigma_n": 0.1, "n": 30}},
             "methods": [
@@ -287,6 +288,27 @@ class TestBenchmark:
         assert len(config.methods) == 2
         assert config.tau == 20
         assert config.alpha == 0.85
+        demo = json.loads((DEMOS / "bench_small.json").read_text(encoding="utf-8"))
+        config = BenchmarkConfig.from_dict(demo)
+        assert (config.tau, config.alpha, config.normalization, config.fit.restarts) == (
+            50, 0.9, "offline", 4)
+        assert len(config.stream) == demo["stream"]["synthetic"]["n"]
+        assert [(m.name, m.kind, [f.as_dict() for f in m.features], m.train_size)
+                for m in config.methods] == [
+            (m["name"], m["kind"], m.get("features", []), m.get("train_size", 0))
+            for m in demo["methods"]]
+        # JSON integers where floats are expected; a time column by name or index
+        path = tmp_path / "stream.csv"
+        path.write_text("t,y\n0,1.0\n1,2.5\n3,0.5\n")
+        for time_column in ("t", 0):
+            config = BenchmarkConfig.from_dict({
+                "stream": {"csv": str(path), "column": "y", "time_column": time_column},
+                "methods": [{"name": "f", "kind": "fusion",
+                             "features": [{"sigma_f": 1, "sigma_l": 2, "sigma_n": 0}]}],
+                "fit": {"sigma_f_bounds": [1, 1000]}})
+            assert config.stream.timestamps.tolist() == [0.0, 1.0, 3.0]
+            assert config.methods[0].features == (TemporalFeature(1.0, 2.0, 0.0),)
+            assert config.fit.sigma_f_bounds == (1.0, 1000.0)
 
     def test_bad_method_kind(self):
         with pytest.raises(ConfigError):
