@@ -104,7 +104,8 @@ def generate(ctx, sigma_f, sigma_l, sigma_n, length, out):
 @click.option("--features", "features_path", type=click.Path(), required=True,
               help="JSON file: list of {sigma_f, sigma_l, sigma_n} triples.")
 @click.option("--column", default="0", show_default=True, callback=_column)
-@click.option("--tau", type=click.IntRange(1), default=fusion.DEFAULT_TAU, show_default=True)
+@click.option("--tau", type=click.IntRange(1, sys.maxsize), default=fusion.DEFAULT_TAU,
+              show_default=True)
 @click.option("--alpha", type=float, default=fusion.DEFAULT_ALPHA, show_default=True)
 @click.option("--limit", type=click.IntRange(1), default=None,
               help="Use only the first M features.")

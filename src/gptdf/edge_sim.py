@@ -14,9 +14,12 @@ both transports validate and reply alike.
 from __future__ import annotations
 
 import json
+import selectors
 import socket
-import socketserver
+import sys
 import threading
+import time
+import traceback
 import warnings
 from dataclasses import asdict, dataclass, field, fields
 
@@ -54,8 +57,9 @@ ENVELOPE_FIELDS = ("limit", "status", "reason")
 
 MIN_REPORT_POINTS = gp_core.MIN_FIT_POINTS
 
-# Seconds a socket client waits to connect and for each read, and a server
-# handler waits for its request line.
+# Seconds a socket client waits to connect and for each read; also each server
+# connection's deadline, counted from accept, to read its request line and
+# write the whole reply.
 SOCKET_TIMEOUT_S = 10.0
 # Longest request line a server reads; a longer one is cut there and rejected.
 MAX_LINE_BYTES = 1 << 16
@@ -159,7 +163,7 @@ class CloudRegistry:
     def __init__(self, path=None):
         self._lock = threading.Lock()
         self._records = []
-        self._by_key = {}
+        self._lines = {}  # record key -> its query-response line
         self._path = path
         if path is not None:
             self._replay(path)
@@ -195,9 +199,10 @@ class CloudRegistry:
             self._ingest(record)
 
     def _ingest(self, record):
-        if record.key in self._by_key:
+        if record.key in self._lines:
             return False
-        self._by_key[record.key] = record
+        # records are frozen, so each one's reply line is encoded once
+        self._lines[record.key] = encode_message({**record.to_message(), "type": "response"})
         self._records.append(record)
         return True
 
@@ -226,6 +231,10 @@ class CloudRegistry:
     def snapshot(self):
         with self._lock:
             return tuple(self._records)
+
+    def response_line(self, record):
+        """The wire line that answers a query with this stored record."""
+        return self._lines[record.key]
 
 
 def _status(accepted, reason=""):
@@ -256,7 +265,7 @@ def handle(registry, line):
     if limit is not None and (type(limit) is not int or limit < 1):
         return _status(False, f"limit must be a positive integer, got {limit!r}")
     records = registry.query(FeatureQuery(str(msg["source_id"]), limit)).records
-    return [encode_message({**r.to_message(), "type": "response"}) for r in records]
+    return [registry.response_line(r) for r in records]
 
 
 class _Channel:
@@ -311,25 +320,137 @@ class InProcessChannel(_Channel):
         return handle(self.registry, line)
 
 
-class _RegistryRequestHandler(socketserver.StreamRequestHandler):
-    def handle(self):
-        self.connection.settimeout(SOCKET_TIMEOUT_S)
+class _Connection:
+    """One client of a `_RegistryServer`: its request bytes until the line
+    is complete, then its unsent reply bytes (empty once all are sent)."""
+
+    def __init__(self, sock, deadline):
+        self.sock = sock
+        self.deadline = deadline
+        self.request = bytearray()
+        self.reply = None
+
+
+class _RegistryServer:
+    """Serves `handle` to every connection from one selector loop on one
+    thread. Accepts, reads and writes never block. Each connection has one
+    deadline, `SOCKET_TIMEOUT_S` after accept, that covers reading its
+    request line and writing its reply; past it the connection is closed,
+    answered or not. So a client that sends nothing, trickles its request or
+    never reads its reply delays no other client."""
+
+    def __init__(self, registry, address):
+        self.registry = registry
+        self.socket = socket.create_server(address)
+        self.socket.setblocking(False)
+        self.server_address = self.socket.getsockname()
+        self._wake_reader, self._waker = socket.socketpair()
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self.socket, selectors.EVENT_READ)
+        self._selector.register(self._wake_reader, selectors.EVENT_READ)
+        self._running = True
+        self._stopped = threading.Event()
+
+    def serve_forever(self):
         try:
-            raw = self.rfile.readline(MAX_LINE_BYTES)
-        except TimeoutError:
-            return  # a client that never sends its line is dropped unanswered
-        line = raw.decode("utf-8", errors="replace")
-        for reply in handle(self.server.registry, line):
-            self.wfile.write((reply + "\n").encode("utf-8"))
-        # one request per connection; closing the socket ends the response
+            while self._running:
+                now = time.monotonic()
+                connections = [key.data for key in self._selector.get_map().values() if key.data]
+                for conn in connections:
+                    if conn.deadline <= now:
+                        self._close(conn)
+                deadlines = [c.deadline - now for c in connections if c.deadline > now]
+                for key, _ in self._selector.select(min(deadlines, default=None)):
+                    if key.fileobj is self.socket:
+                        self._accept()
+                    elif key.fileobj is self._wake_reader:
+                        self._wake_reader.recv(64)
+                    else:
+                        self._serve(key.data)
+        finally:
+            for key in list(self._selector.get_map().values()):
+                if key.data:
+                    self._close(key.data)
+            self._stopped.set()
+
+    def shutdown(self):
+        """Stop the loop, closing open connections, and wait until it ends."""
+        self._running = False
+        self._waker.send(b"\0")
+        self._stopped.wait()
+
+    def server_close(self):
+        self._selector.close()
+        for sock in (self.socket, self._wake_reader, self._waker):
+            sock.close()
+
+    def _accept(self):
+        try:
+            sock, _ = self.socket.accept()
+        except OSError:  # the client gave up, or no descriptor is free
+            return
+        sock.setblocking(False)
+        self._selector.register(sock, selectors.EVENT_READ,
+                                _Connection(sock, time.monotonic() + SOCKET_TIMEOUT_S))
+
+    def _serve(self, conn):
+        try:
+            if conn.reply is None:
+                self._read(conn)
+            elif conn.reply:
+                self._write(conn)
+            elif not conn.sock.recv(65536):
+                # Replied: drain the client until it closes. Closing with
+                # request bytes unread would reset the connection before the
+                # client reads its reply.
+                self._close(conn)
+        except BlockingIOError:
+            pass
+        except ConnectionError:
+            self._close(conn)
+        except Exception:  # one failed request must not stop the server
+            traceback.print_exc()
+            self._close(conn)
+
+    def _read(self, conn):
+        chunk = conn.sock.recv(65536)
+        start = len(conn.request)
+        conn.request += chunk
+        end = conn.request.find(b"\n", start) + 1
+        if chunk and not end and len(conn.request) < MAX_LINE_BYTES:
+            return  # the line is not complete yet
+        line = conn.request[:min(end or len(conn.request), MAX_LINE_BYTES)]
+        replies = handle(self.registry, line.decode("utf-8", errors="replace"))
+        conn.request = None
+        conn.reply = memoryview("".join(reply + "\n" for reply in replies).encode("utf-8"))
+        self._write(conn)
+
+    def _write(self, conn):
+        try:
+            sent = conn.sock.send(conn.reply)
+        except BlockingIOError:
+            sent = 0
+        conn.reply = conn.reply[sent:]
+        if conn.reply:
+            self._selector.modify(conn.sock, selectors.EVENT_WRITE, conn)
+            return
+        # one request per connection; end of stream frames the reply
+        conn.sock.shutdown(socket.SHUT_WR)
+        self._selector.modify(conn.sock, selectors.EVENT_READ, conn)
+
+    def _close(self, conn):
+        self._selector.unregister(conn.sock)
+        conn.sock.close()
 
 
 def serve_registry(registry, host="127.0.0.1", port=0):
     """Serve a registry over a loopback socket, one request per connection.
+    One selector thread serves every connection. `SOCKET_TIMEOUT_S` is one
+    deadline per connection, from accept, for reading the request and
+    writing the reply; a client that sends nothing, trickles or never reads
+    is dropped at it without delaying others.
     Returns (server, thread, (host, port)); call server.shutdown() when done."""
-    server = socketserver.ThreadingTCPServer((host, port), _RegistryRequestHandler)
-    server.daemon_threads = True
-    server.registry = registry
+    server = _RegistryServer(registry, (host, port))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     return server, thread, server.server_address
@@ -338,7 +459,9 @@ def serve_registry(registry, host="127.0.0.1", port=0):
 class SocketChannel(_Channel):
     """Socket transport: each request line travels to a `serve_registry`
     server over its own connection. Connecting and each read wait at most
-    `SOCKET_TIMEOUT_S`; past that the request raises TransportError."""
+    `SOCKET_TIMEOUT_S`; past that the request raises TransportError. The
+    server's one selector thread answers it within its own deadline of
+    `SOCKET_TIMEOUT_S`, however slow other clients are."""
 
     def __init__(self, address):
         super().__init__()
@@ -402,8 +525,8 @@ class Scenario:
             raise ConfigError(f"unknown normalization mode {self.normalization!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if int(self.tau) < 1:
-            raise ConfigError(f"tau must be >= 1, got {self.tau}")
+        if not 1 <= int(self.tau) <= sys.maxsize:  # a window's deque takes at most ssize_t
+            raise ConfigError(f"tau must be >= 1 and <= {sys.maxsize}, got {self.tau}")
         if self.limit is not None and int(self.limit) < 1:
             raise ConfigError(f"limit must be >= 1, got {self.limit}")
         if int(self.seed) < 0:

@@ -7,6 +7,7 @@ from __future__ import annotations
 import io
 import csv
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,8 +160,8 @@ class BenchmarkConfig:
             raise ConfigError(f"duplicate method names in {names}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if int(self.tau) < 1:
-            raise ConfigError(f"tau must be >= 1, got {self.tau}")
+        if not 1 <= int(self.tau) <= sys.maxsize:  # a window's deque takes at most ssize_t
+            raise ConfigError(f"tau must be >= 1 and <= {sys.maxsize}, got {self.tau}")
         if self.normalization not in data_io.NORMALIZATION_MODES:
             raise ConfigError(f"unknown normalization mode {self.normalization!r}")
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from collections import deque, namedtuple
 from dataclasses import dataclass, field
@@ -176,8 +177,8 @@ class EnsembleState:
             raise ValueError("ensemble needs at least one model")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"forgetting parameter must lie in (0, 1), got {self.alpha}")
-        if int(self.tau) < 1:
-            raise ValueError("window length must be >= 1")
+        if not 1 <= int(self.tau) <= sys.maxsize:  # deque's maxlen is an ssize_t
+            raise ValueError(f"window length must be >= 1 and <= {sys.maxsize}")
         self.tau = int(self.tau)
         self.weights = np.asarray(self.weights, dtype=float)
         self.omega_hat = np.asarray(self.omega_hat, dtype=float)

@@ -139,8 +139,9 @@ class TestPredict:
         assert code == 2
 
     # click.FloatRange lets NaN through; the alpha check must not
-    @pytest.mark.parametrize("flag, value", [("--tau", "0"), ("--alpha", "1.5"),
-                                             ("--alpha", "nan"), ("--limit", "0")])
+    @pytest.mark.parametrize("flag, value", [("--tau", "0"), ("--tau", str(10 ** 20)),
+                                             ("--alpha", "1.5"), ("--alpha", "nan"),
+                                             ("--limit", "0")])
     def test_out_of_range_flag_exits_2(self, capsys, tmp_path, stream_csv, flag, value):
         features_path = tmp_path / "features.json"
         features_path.write_text(json.dumps(SHORT_SCALE_FEATURES))
@@ -322,6 +323,9 @@ MALFORMED_SETTINGS = {
                                "features": [{"sigma_f": 1.0, "sigma_n": 0.1}]}]})),
     "scenario-tau-text": ("simulate", json.dumps({**scenario_dict(), "tau": "abc"})),
     "scenario-tau-overflow": ("simulate", json.dumps(scenario_dict())[:-1] + ', "tau": 1e400}'),
+    # an integer past the C ssize_t that a window's deque takes
+    "scenario-tau-past-ssize-t": ("simulate", json.dumps({**scenario_dict(), "tau": 10 ** 20})),
+    "bench-tau-past-ssize-t": ("bench", json.dumps({**BENCH, "tau": 10 ** 20})),
     "bench-alpha-text": ("bench", json.dumps({**BENCH, "alpha": "x"})),
     "fit-config-list": ("fit", "[]"),
     "fit-config-restarts-overflow": ("fit", '{"restarts": 1e400}'),

@@ -2,6 +2,7 @@
 
 import json
 import os
+import select
 import socket
 import tempfile
 import threading
@@ -145,6 +146,11 @@ class TestRegistry:
         registry.report(record(source="edge-01", fitted_at=1))
         reloaded = CloudRegistry(path=str(path))
         assert len(reloaded.query(FeatureQuery("target"))) == 2
+        # each record's reply line is encoded when it is stored, reported or replayed
+        for store in (registry, reloaded):
+            for r in store.snapshot():
+                assert store.response_line(r) == edge_sim.encode_message(
+                    {**r.to_message(), "type": "response"})
         # re-reporting after reload stays idempotent
         assert reloaded.report(record(source="edge-00")).reason == "duplicate"
 
@@ -499,7 +505,134 @@ class TestSimulation:
         assert len(lines) == 2  # one stored copy per (source_id, fitted_at)
 
 
+def raw_exchange(address, payload):
+    """Send raw request bytes, half-close, and return every reply byte."""
+    with socket.create_connection(address, timeout=5.0) as sock:
+        sock.sendall(payload)
+        sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def served_line(payload):
+    """The request line a server hands to `handle`: through the first
+    newline, cut at MAX_LINE_BYTES."""
+    end = payload.find(b"\n") + 1 or len(payload)
+    return payload[:min(end, edge_sim.MAX_LINE_BYTES)].decode("utf-8", errors="replace")
+
+
+def sixteen_records():
+    registry = CloudRegistry()
+    for i in range(16):
+        registry.report(record(source=f"edge-{i:02d}", fitted_at=i))
+    return registry
+
+
+QUERY = json.dumps({"type": "query", "source_id": "target"})
+RAW_REQUESTS = [
+    pytest.param(QUERY.encode() + b"\n", None, id="query"),
+    pytest.param(json.dumps({"type": "query", "source_id": "target", "limit": 1}).encode()
+                 + b"\n", None, id="query-limit-1"),
+    pytest.param(json.dumps(record(source="edge-99", fitted_at=99).to_message()).encode()
+                 + b"\n", None, id="report"),
+    pytest.param(b"", None, id="empty"),
+    pytest.param(QUERY.encode(), None, id="no-newline"),
+    pytest.param(json.dumps({"type": "query", "source_id": "t" * 100}).encode() + b"\n", 64,
+                 id="over-long"),
+    *(pytest.param(line.encode() + b"\n", None, id=f"hostile-{name}")
+      for name, line in HOSTILE_LINES.items()),
+]
+
+
 class TestSocketTransport:
+    @pytest.mark.parametrize("payload, max_line", RAW_REQUESTS)
+    def test_socket_reply_equals_handle_byte_for_byte(self, monkeypatch, payload, max_line):
+        if max_line is not None:
+            monkeypatch.setattr(edge_sim, "MAX_LINE_BYTES", max_line)
+        served, reference = sixteen_records(), sixteen_records()
+        server, thread, address = serve_registry(served)
+        try:
+            raw = raw_exchange(address, payload)
+        finally:
+            server.shutdown()
+            server.server_close()
+        lines = handle(reference, served_line(payload))
+        assert raw == "".join(line + "\n" for line in lines).encode("utf-8")
+        assert served.snapshot() == reference.snapshot()
+
+    def test_slow_clients_do_not_stall_others(self, monkeypatch):
+        timeout, margin = 2.0, 1.0
+        monkeypatch.setattr(edge_sim, "SOCKET_TIMEOUT_S", timeout)
+        registry = CloudRegistry()
+        # A full query's reply (about 10 MB) outgrows a 4 MiB send buffer,
+        # Linux's default tcp_wmem maximum, plus a small receive buffer
+        for i in range(2500):
+            registry.report(record(source=f"edge-{i:04d}-" + "x" * 4000, fitted_at=i))
+        full_reply = sum(len(line) + 1 for line in handle(registry, QUERY))
+        server, thread, address = serve_registry(registry)
+
+        def assert_others_served():
+            start = time.perf_counter()
+            assert len(SocketChannel(address).query(FeatureQuery("target", limit=1))) == 1
+            assert time.perf_counter() - start < 0.5
+
+        def trickle(sock, deadline, closed_at):
+            # one byte every 0.1 s, never a newline, until the server hangs up
+            try:
+                while time.perf_counter() < deadline + margin:
+                    sock.sendall(b"x")
+                    if select.select([sock], [], [], 0.1)[0] and not sock.recv(1):
+                        break
+                else:
+                    return
+            except ConnectionError:
+                pass
+            closed_at.append(time.perf_counter())
+
+        try:
+            # (a) connects and sends nothing: closed unanswered at its deadline
+            with socket.create_connection(address, timeout=timeout + 5.0) as sock:
+                deadline = time.perf_counter() + timeout
+                assert_others_served()
+                assert sock.recv(1) == b""
+                assert time.perf_counter() < deadline + margin
+
+            # (b) trickles its request: closed at its deadline, not kept alive by each byte
+            with socket.create_connection(address, timeout=timeout + 5.0) as sock:
+                deadline = time.perf_counter() + timeout
+                closed_at = []
+                trickler = threading.Thread(target=trickle, args=(sock, deadline, closed_at))
+                trickler.start()
+                time.sleep(0.3)
+                assert_others_served()
+                trickler.join(timeout=timeout + margin + 5.0)
+                assert not trickler.is_alive()
+                assert closed_at and closed_at[0] < deadline + margin
+
+            # (c) sends a query and never reads its reply
+            with socket.socket() as sock:
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                sock.settimeout(timeout + 5.0)
+                sock.connect(address)
+                deadline = time.perf_counter() + timeout
+                sock.sendall(QUERY.encode() + b"\n")
+                sock.shutdown(socket.SHUT_WR)
+                time.sleep(0.3)  # the server has filled the buffers and waits to write
+                assert_others_served()
+                time.sleep(max(0.0, deadline + margin - time.perf_counter()))
+                # the server gave up the write by now: only what the buffers
+                # held arrives before the end of stream
+                received = 0
+                while chunk := sock.recv(65536):
+                    received += len(chunk)
+                assert 0 < received < full_reply
+        finally:
+            server.shutdown()
+            server.server_close()
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
     def test_matches_in_process_channel(self):
         registry = CloudRegistry()
         server, thread, address = serve_registry(registry)

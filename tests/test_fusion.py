@@ -1,6 +1,7 @@
 """Weight dynamics, product-of-experts fusion, and the online loop."""
 
 import math
+import sys
 import warnings
 from collections import deque
 
@@ -211,6 +212,12 @@ class TestEnsembleState:
         with pytest.raises(ValueError):
             EnsembleState(models=models, weights=np.array([0.5]),
                           omega_hat=np.array([0.5]))
+
+    # a deque's maxlen is a C ssize_t: past it, a ValueError, not an OverflowError
+    @pytest.mark.parametrize("tau", [0, sys.maxsize + 1])
+    def test_window_length_out_of_range_rejected(self, tau):
+        with pytest.raises(ValueError, match="window length must be >= 1"):
+            ensemble_from_features([TemporalFeature(1, 1, 0.1)], tau=tau)
 
 
 class TestGptdfStep:
