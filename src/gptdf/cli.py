@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 partial simulation failure, 2 usage/config errors,
 from __future__ import annotations
 
 import csv
+import io
 import json
 import pathlib
 import sys
@@ -143,67 +144,46 @@ def simulate(ctx, scenario_path, out_dir):
     dump into a result directory."""
     scenario = _load_config(scenario_path, lambda raw: edge_sim.Scenario.from_dict(
         {"seed": ctx.obj["seed"], **raw}))
-    result = edge_sim.run_simulation(scenario)
-
     out = pathlib.Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    files = []
-
-    registry_path = out / "registry.jsonl"
-    with open(registry_path, "w", encoding="utf-8") as fh:
-        for record in result.feature_records:
-            fh.write(edge_sim.encode_message(record.to_message()) + "\n")
-    files.append(registry_path.name)
+    out.mkdir(parents=True, exist_ok=True)  # an unusable directory fails before any node runs
+    result = edge_sim.run_simulation(scenario)
+    report = result.target_report
 
     nodes = [{"id": r.source_id, "role": "historical", **r.feature.as_dict(),
               "n_points": r.n_points, "fitted_at": r.fitted_at}
              for r in result.feature_records]
-    if result.target_report is not None:
-        tr = result.target_report
-        nodes.append({"id": tr.node_id, "role": "target",
-                      "models": list(tr.model_ids),
-                      "used_fallback": tr.used_fallback,
-                      "metrics": tr.metrics})
-    nodes_path = out / "nodes.json"
-    nodes_path.write_text(json.dumps(nodes, indent=2, sort_keys=True), encoding="utf-8")
-    files.append(nodes_path.name)
-
-    if result.target_report is not None:
-        predictions_path = out / "predictions.jsonl"
-        with open(predictions_path, "w", encoding="utf-8") as fh:
-            fusion.write_prediction_log(result.target_report.records, fh)
-        files.append(predictions_path.name)
-
-        row = evaluation.BenchmarkRow(method="GPTDF", **result.target_report.metrics)
-        report = evaluation.BenchmarkReport(rows=(row,), series={})
-        summary_path = out / "summary.csv"
-        summary_path.write_text(report.to_csv(), encoding="utf-8")
-        files.append(summary_path.name)
-
-    metrics_path = out / "metrics.json"
-    metrics_path.write_text(json.dumps({
-        "metrics": result.target_report.metrics if result.target_report else None,
-        "bytes_by_node": result.bytes_by_node,
-        "n_feature_records": len(result.feature_records),
-    }, indent=2, sort_keys=True), encoding="utf-8")
-    files.append(metrics_path.name)
-
+    files = {
+        "registry.jsonl": "".join(edge_sim.encode_message(r.to_message()) + "\n"
+                                  for r in result.feature_records),
+        "metrics.json": json.dumps({
+            "metrics": report.metrics if report else None,
+            "bytes_by_node": result.bytes_by_node,
+            "n_feature_records": len(result.feature_records),
+        }, indent=2, sort_keys=True),
+    }
+    if report is not None:
+        nodes.append({"id": report.node_id, "role": "target", "models": list(report.model_ids),
+                      "used_fallback": report.used_fallback, "metrics": report.metrics})
+        log = io.StringIO()
+        fusion.write_prediction_log(report.records, log)
+        files["predictions.jsonl"] = log.getvalue()
+        row = evaluation.BenchmarkRow(method="GPTDF", **report.metrics)
+        files["summary.csv"] = evaluation.BenchmarkReport(rows=(row,), series={}).to_csv()
+    files["nodes.json"] = json.dumps(nodes, indent=2, sort_keys=True)
     if result.errors:
-        errors_path = out / "errors.json"
-        errors_path.write_text(json.dumps(
-            [{"node": n, "error": e} for n, e in result.errors],
-            indent=2, sort_keys=True), encoding="utf-8")
-        files.append(errors_path.name)
-
-    manifest_path = out / "manifest.json"
-    manifest_path.write_text(json.dumps({
+        files["errors.json"] = json.dumps([{"node": n, "error": e} for n, e in result.errors],
+                                          indent=2, sort_keys=True)
+    # the manifest lists every other file
+    files["manifest.json"] = json.dumps({
         "files": sorted(files),
         "seed": scenario.seed,
         "scenario": scenario.as_dict(),
-    }, indent=2, sort_keys=True), encoding="utf-8")
+    }, indent=2, sort_keys=True)
+    for name, text in files.items():
+        (out / name).write_text(text, encoding="utf-8")
 
     if result.errors:
-        if result.target_report is None:
+        if report is None:
             raise DataError("; ".join(f"{n}: {e}" for n, e in result.errors))
         raise PartialFailure(f"{len(result.errors)} node(s) failed; partial results in {out}")
     click.echo(f"simulation complete: {out}")
@@ -236,7 +216,7 @@ def main(argv=None):
     except click.ClickException as exc:
         exc.show()
         return exc.exit_code
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:  # OSError: a path that cannot be read or written
         click.echo(f"error: {exc}", err=True)
         return 2
     except DataError as exc:

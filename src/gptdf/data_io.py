@@ -30,7 +30,7 @@ __all__ = [
 @dataclass(frozen=True)
 class NormalizationStats:
     """Mean/std pair used to map a series to zero mean and unit sample std
-    (n-1 denominator) and back."""
+    (n-1 denominator)."""
 
     mean: float
     std: float
@@ -41,9 +41,6 @@ class NormalizationStats:
 
     def apply(self, values):
         return (np.asarray(values, dtype=float) - self.mean) / self.std
-
-    def invert(self, values):
-        return np.asarray(values, dtype=float) * self.std + self.mean
 
 
 def _parse_float(text):
@@ -134,7 +131,7 @@ def load_csv(path, column=0, time_column=None):
 def normalize(data):
     """Center and scale to sample std one (n-1 denominator).
 
-    Returns the transformed series and the stats needed to invert it.
+    Returns the transformed series and its stats.
     Refuses series shorter than 2 points, with zero variance, or whose mean
     or std overflows.
     """
@@ -154,18 +151,11 @@ def normalize(data):
 @dataclass(frozen=True)
 class PreparedStream:
     """A stream transformed for online consumption, with the per-step offset
-    and scale needed to map each step's values and predictions back to the
-    original units."""
+    and scale it was transformed by: series = (raw - offsets) / scales."""
 
     series: TimeSeries
     offsets: np.ndarray
     scales: np.ndarray
-
-    def to_original_value(self, step, z):
-        return z * self.scales[step] + self.offsets[step]
-
-    def to_original_variance(self, step, var):
-        return var * self.scales[step] ** 2
 
 
 def prepare_stream(data, mode="online"):

@@ -52,6 +52,8 @@ __all__ = [
 
 MESSAGE_TYPES = ("report", "query", "response")
 MESSAGE_FIELDS = ("type", "source_id", "sigma_f", "sigma_l", "sigma_n", "n_points", "fitted_at")
+# The JSON type of each field of a record's message
+_RECORD_KINDS = dict(zip(MESSAGE_FIELDS, (str, str, float, float, float, int, int)))
 # Envelope extras allowed next to the fixed fields
 ENVELOPE_FIELDS = ("limit", "status", "reason")
 
@@ -102,11 +104,12 @@ class FeatureRecord:
 
     @classmethod
     def from_message(cls, msg):
-        return cls(source_id=str(msg["source_id"]),
-                   feature=TemporalFeature.from_dict(
-                       {k: msg[k] for k in ("sigma_f", "sigma_l", "sigma_n")}),
-                   n_points=int(msg["n_points"]),
-                   fitted_at=int(msg["fitted_at"]))
+        """Read a record from a message with no key outside `MESSAGE_FIELDS`,
+        each value of its field's JSON type; nothing is converted."""
+        m = read_settings(msg, _RECORD_KINDS, "feature record")
+        return cls(source_id=m["source_id"],
+                   feature=TemporalFeature(m["sigma_f"], m["sigma_l"], m["sigma_n"]),
+                   n_points=m["n_points"], fitted_at=m["fitted_at"])
 
 
 @dataclass(frozen=True)
@@ -419,7 +422,7 @@ class _RegistryServer:
         end = conn.request.find(b"\n", start) + 1
         if chunk and not end and len(conn.request) < MAX_LINE_BYTES:
             return  # the line is not complete yet
-        line = conn.request[:min(end or len(conn.request), MAX_LINE_BYTES)]
+        line = conn.request[:min(end or len(conn.request), MAX_LINE_BYTES)].removesuffix(b"\n")
         replies = handle(self.registry, line.decode("utf-8", errors="replace"))
         conn.request = None
         conn.reply = memoryview("".join(reply + "\n" for reply in replies).encode("utf-8"))
@@ -459,9 +462,10 @@ def serve_registry(registry, host="127.0.0.1", port=0):
 class SocketChannel(_Channel):
     """Socket transport: each request line travels to a `serve_registry`
     server over its own connection. Connecting and each read wait at most
-    `SOCKET_TIMEOUT_S`; past that the request raises TransportError. The
-    server's one selector thread answers it within its own deadline of
-    `SOCKET_TIMEOUT_S`, however slow other clients are."""
+    `SOCKET_TIMEOUT_S`; past that, or when the connection is refused or
+    reset, the request raises TransportError. The server's one selector
+    thread answers it within its own deadline of `SOCKET_TIMEOUT_S`, however
+    slow other clients are."""
 
     def __init__(self, address):
         super().__init__()
@@ -481,6 +485,8 @@ class SocketChannel(_Channel):
         except TimeoutError as exc:
             raise TransportError(f"registry at {self.address} did not answer within "
                                  f"{SOCKET_TIMEOUT_S} s") from exc
+        except OSError as exc:  # refused, reset, unreachable
+            raise TransportError(f"registry at {self.address}: {exc}") from exc
         return [reply for reply in raw.decode("utf-8").splitlines() if reply.strip()]
 
 

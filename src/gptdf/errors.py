@@ -2,7 +2,7 @@
 
 The CLI maps these onto exit codes: config/usage problems exit 2, data
 problems exit 3, numerical failures exit 4, and a simulation that produced
-partial results exits 1. A transport timeout fails the node that hit it.
+partial results exits 1. A transport failure fails the node that hit it.
 """
 
 
@@ -23,7 +23,7 @@ class NumericalError(GptdfError):
 
 
 class TransportError(GptdfError):
-    """A registry connection or reply that timed out."""
+    """A registry connection that failed, or a reply that timed out."""
 
 
 class PartialFailure(GptdfError):

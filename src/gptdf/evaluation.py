@@ -8,7 +8,7 @@ import io
 import csv
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -32,7 +32,6 @@ __all__ = [
     "SERIES_COLUMNS",
 ]
 
-REPORT_COLUMNS = ("method", "nll", "mae", "mse", "delay", "error")
 SERIES_COLUMNS = ("step", "t", "y", "mean", "var", "lo", "hi")
 
 
@@ -149,7 +148,6 @@ class BenchmarkConfig:
     tau: int = fusion.DEFAULT_TAU
     alpha: float = fusion.DEFAULT_ALPHA
     normalization: str = "online"
-    original_scale: bool = False
     fit: FitConfig = field(default_factory=FitConfig)
 
     def __post_init__(self):
@@ -170,7 +168,7 @@ class BenchmarkConfig:
         return cls(**read_settings(d, {
             "methods": [BenchmarkMethod.from_dict],
             "stream": lambda spec: data_io.resolve_data_spec(spec, fallback_seed),
-            "tau": int, "alpha": float, "normalization": str, "original_scale": bool,
+            "tau": int, "alpha": float, "normalization": str,
             "fit": FitConfig.from_dict}, "benchmark config"))
 
 
@@ -183,9 +181,8 @@ class BenchmarkRow:
     delay: int = -1
     error: str = ""
 
-    def as_dict(self):
-        return {"method": self.method, "nll": self.nll, "mae": self.mae,
-                "mse": self.mse, "delay": self.delay, "error": self.error}
+
+REPORT_COLUMNS = tuple(f.name for f in fields(BenchmarkRow))
 
 
 @dataclass(frozen=True)
@@ -197,11 +194,7 @@ class BenchmarkReport:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(REPORT_COLUMNS)
-        for row in self.rows:
-            d = row.as_dict()
-            writer.writerow([d["method"]] +
-                            [repr(d[c]) if isinstance(d[c], float) else d[c]
-                             for c in REPORT_COLUMNS[1:-1]] + [d["error"]])
+        writer.writerows(astuple(row) for row in self.rows)
         return buf.getvalue()
 
     def write_series_csvs(self, out_dir):
@@ -216,29 +209,20 @@ class BenchmarkReport:
             safe = "".join(c if c.isalnum() or c in "-_" else "_" for c in name)
             path = out_dir / f"series_{safe}.csv"
             with open(path, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(SERIES_COLUMNS)
-                for row in self.series[name]:
-                    writer.writerow([row[c] for c in SERIES_COLUMNS])
+                writer = csv.DictWriter(fh, SERIES_COLUMNS)
+                writer.writeheader()
+                writer.writerows(self.series[name])
             written.append(path)
         return written
 
 
-def _series_rows(records, prepared, original_scale):
+def _series_rows(records):
     rows = []
     for rec in records:
         dist = rec.prediction.distribution
         lo, hi = rec.prediction.interval_3sigma
-        y, mean, var = rec.truth, dist.mean, dist.variance
-        if original_scale:
-            k = rec.step
-            y = prepared.to_original_value(k, y)
-            mean = prepared.to_original_value(k, mean)
-            lo = prepared.to_original_value(k, lo)
-            hi = prepared.to_original_value(k, hi)
-            var = prepared.to_original_variance(k, var)
-        rows.append({"step": rec.step, "t": rec.t, "y": y,
-                     "mean": mean, "var": var, "lo": lo, "hi": hi})
+        rows.append({"step": rec.step, "t": rec.t, "y": rec.truth,
+                     "mean": dist.mean, "var": dist.variance, "lo": lo, "hi": hi})
     return rows
 
 
@@ -249,8 +233,7 @@ def run_benchmark(config):
     Rows are ordered by method name. A method failure does not abort the
     benchmark: its row carries the error message and empty metrics.
     """
-    prepared = data_io.prepare_stream(config.stream, config.normalization)
-    stream = prepared.series
+    stream = data_io.prepare_stream(config.stream, config.normalization).series
     rows = []
     series = {}
     for method in sorted(config.methods, key=lambda m: m.name):
@@ -267,5 +250,5 @@ def run_benchmark(config):
             rows.append(BenchmarkRow(method=method.name, error=str(exc)))
             continue
         rows.append(BenchmarkRow(method=method.name, **metrics))
-        series[method.name] = _series_rows(records, prepared, config.original_scale)
+        series[method.name] = _series_rows(records)
     return BenchmarkReport(rows=tuple(rows), series=series)

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from gptdf import edge_sim
 from gptdf.cli import main
 
 from conftest import SHORT_SCALE_FEATURES
@@ -309,6 +310,28 @@ class TestUsage:
         code, out, err = run_cli(capsys, "bench", str(path))
         assert code == 2
 
+    # a directory where a file is read or written, a file where the result
+    # directory goes: one error line, and simulate fails before any node runs
+    @pytest.mark.parametrize("command", ["fit", "predict", "generate", "simulate"])
+    def test_unusable_path_exits_2(self, capsys, monkeypatch, tmp_path, command):
+        features_path = tmp_path / "features.json"
+        features_path.write_text(json.dumps(SHORT_SCALE_FEATURES))
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps(scenario_dict()))
+        monkeypatch.setattr(edge_sim, "run_simulation", lambda *a: pytest.fail("a node ran"))
+        args, unusable = {
+            "fit": (["fit", str(tmp_path)], tmp_path),
+            "predict": (["predict", str(tmp_path), "--features", str(features_path)], tmp_path),
+            "generate": (["generate", "--sigma-f", "1.0", "--sigma-l", "1.0", "-n", "5",
+                          "--out", str(tmp_path)], tmp_path),
+            "simulate": (["simulate", str(scenario_path), "--out-dir", str(features_path)],
+                         features_path),
+        }[command]
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(unusable) in err
+
 
 BENCH = {"stream": {"synthetic": {"sigma_f": 0.8, "sigma_l": 2.0, "sigma_n": 0.1, "n": 40}},
          "methods": [{"name": "m", "kind": "fusion", "features": SHORT_SCALE_FEATURES[:1]}]}
@@ -340,6 +363,8 @@ MALFORMED_SETTINGS = {
     "scenario-historical-unknown-key": ("simulate", json.dumps(
         {**scenario_dict(), "historical": [{**scenario_dict()["historical"][0], "seeed": 3}]})),
     "bench-unknown-key": ("bench", json.dumps({**BENCH, "orignal_scale": True})),
+    # a setting the program no longer has is as unknown as a misspelled one
+    "bench-removed-original-scale": ("bench", json.dumps({**BENCH, "original_scale": False})),
     "bench-method-unknown-key": ("bench", json.dumps(
         {**BENCH, "methods": [{**BENCH["methods"][0], "train_sise": 5}]})),
     "scenario-unknown-normalization": ("simulate", json.dumps(
@@ -360,7 +385,7 @@ MALFORMED_SETTINGS = {
     "scenario-target-csv-and-synthetic": ("simulate", json.dumps(
         {**scenario_dict(), "target": {"csv": "STREAM_CSV", "column": "y",
                                        **scenario_dict()["target"]}})),
-    "bench-original-scale-text": ("bench", json.dumps({**BENCH, "original_scale": "false"})),
+    "bench-alpha-numeric-text": ("bench", json.dumps({**BENCH, "alpha": "0.9"})),
     "bench-method-train-size-fraction": ("bench", json.dumps(
         {**BENCH, "stream": {"synthetic": {**BENCH["stream"]["synthetic"], "n": 80}},
          "methods": [{"name": "b", "kind": "baseline", "train_size": 50.9}]})),

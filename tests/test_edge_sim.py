@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import select
 import socket
 import tempfile
@@ -245,6 +246,23 @@ class TestMessages:
     def test_n_points_floor(self):
         with pytest.raises(ValueError):
             record(n_points=7)
+
+    # a mistyped field is rejected, never converted: a fitted_at of 1.9 must
+    # not be stored as 1 and shadow a later report at 1
+    @pytest.mark.parametrize("key, bad", [("fitted_at", 1.9), ("fitted_at", True),
+                                          ("n_points", 400.0), ("source_id", 7),
+                                          ("raw_values", [1, 2, 3])])
+    def test_record_fields_read_strictly(self, tmp_path, key, bad):
+        msg = {**record().to_message(), key: bad}
+        registry = CloudRegistry()
+        reply = json.loads(handle(registry, json.dumps(msg))[0])
+        assert reply["status"] == "rejected"
+        assert repr(key) in reply["reason"]
+        assert registry.snapshot() == ()
+        path = tmp_path / "registry.jsonl"
+        path.write_text(json.dumps(record().to_message()) + "\n" + json.dumps(msg) + "\n")
+        with pytest.raises(DataError, match=f"line 2 .*'{key}'"):
+            CloudRegistry(path=str(path))
 
     @pytest.mark.parametrize("line", ["", "not json", "[]", "5", '{"type": "response"}',
                                       '{"type": "query"}', *HOSTILE_PARAMS,
@@ -518,9 +536,10 @@ def raw_exchange(address, payload):
 
 def served_line(payload):
     """The request line a server hands to `handle`: through the first
-    newline, cut at MAX_LINE_BYTES."""
+    newline, cut at MAX_LINE_BYTES, without its newline."""
     end = payload.find(b"\n") + 1 or len(payload)
-    return payload[:min(end, edge_sim.MAX_LINE_BYTES)].decode("utf-8", errors="replace")
+    line = payload[:min(end, edge_sim.MAX_LINE_BYTES)].removesuffix(b"\n")
+    return line.decode("utf-8", errors="replace")
 
 
 def sixteen_records():
@@ -746,6 +765,40 @@ class TestSocketTransport:
             assert ra.prediction.distribution == rb.prediction.distribution
         assert result.traffic == baseline.traffic
         assert result.bytes_by_node == baseline.bytes_by_node
+
+    # the server hands `handle` the line without its newline, so a reason
+    # that quotes the request reads the same over both channels
+    @pytest.mark.parametrize("line", ["not json", "[]", '{"type": "query"}', *HOSTILE_PARAMS,
+                                      *LONG_REASON_PARAMS])
+    def test_bad_request_gets_the_same_reply_over_both_channels(self, monkeypatch, line):
+        # the server cuts a line past MAX_LINE_BYTES; these must arrive whole
+        monkeypatch.setattr(edge_sim, "MAX_LINE_BYTES", 1 << 20)
+        registry = CloudRegistry()
+        server, thread, address = serve_registry(registry)
+        try:
+            over_socket = SocketChannel(address)._send(line)
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert over_socket == InProcessChannel(registry)._send(line)
+        assert json.loads(over_socket[0])["status"] == "rejected"
+
+    def test_refused_connection_raises_transport_error(self):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            address = probe.getsockname()
+        # nothing listens there once the probe is closed
+        channel = SocketChannel(address)
+        with pytest.raises(TransportError, match=f"registry at {re.escape(str(address))}"):
+            channel.query(FeatureQuery("target"))
+        with pytest.raises(TransportError, match=f"registry at {re.escape(str(address))}"):
+            channel.report(record())
+        scenario = Scenario(nodes=(), target=synthetic_spec(30, 1))
+        result = run_simulation(scenario, channel=channel)
+        assert result.target_report is None
+        [(node, error)] = result.errors
+        assert node == "target"
+        assert error.startswith(f"node target: registry at {address}")
 
     def test_silent_listener_times_out(self, monkeypatch):
         monkeypatch.setattr(edge_sim, "SOCKET_TIMEOUT_S", 0.2)

@@ -25,7 +25,7 @@ from gptdf.evaluation import (
     run_benchmark,
 )
 from gptdf.fusion import StepRecord, fuse_predictions
-from gptdf.gp_core import FitConfig, PredictiveDistribution, TemporalFeature, TimeSeries
+from gptdf.gp_core import FitConfig, PredictiveDistribution, TemporalFeature
 
 from conftest import DEMOS, LONG_SCALE_FEATURES, SHORT_SCALE_FEATURES
 
@@ -261,17 +261,6 @@ class TestBenchmark:
             BenchmarkConfig(methods=(method,), stream=stream, tau=0)
         with pytest.raises(ConfigError, match="unknown normalization mode 'onlin'"):
             BenchmarkConfig(methods=(method,), stream=stream, normalization="onlin")
-
-    def test_original_scale_series(self):
-        stream = TimeSeries.from_values(
-            generate_synthetic(TemporalFeature(0.8, 2.0, 0.1), 60, 5).values * 40.0 + 300.0)
-        config = BenchmarkConfig(
-            methods=(BenchmarkMethod("m", "fusion",
-                                     features=_features(SHORT_SCALE_FEATURES[:1])),),
-            stream=stream, normalization="offline", original_scale=True)
-        report = run_benchmark(config)
-        ys = [row["y"] for row in report.series["m"]]
-        np.testing.assert_allclose(ys, stream.values, atol=1e-9)
 
     def test_config_from_dict(self, tmp_path):
         raw = {
