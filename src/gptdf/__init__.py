@@ -23,7 +23,6 @@ from .gp_core import (
     TemporalFeature,
     TimeSeries,
     build_covariance,
-    build_noisy_covariance,
     eval_kernel,
     fit_hyperparameters,
     log_marginal_likelihood,
@@ -31,7 +30,6 @@ from .gp_core import (
     sample_prior,
 )
 from .data_io import (
-    NormalizationStats,
     generate_synthetic,
     load_csv,
     normalize,
@@ -41,7 +39,6 @@ from .fusion import (
     EnsembleState,
     FusedPrediction,
     StepRecord,
-    confidence_interval,
     ensemble_from_features,
     fuse_predictions,
     fused_prediction,

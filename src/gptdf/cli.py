@@ -198,6 +198,8 @@ def bench(ctx, config_path, out_dir):
     """Run a benchmark config; print the comparison table as CSV."""
     config = _load_config(config_path, lambda raw: evaluation.BenchmarkConfig.from_dict(
         raw, fallback_seed=ctx.obj["seed"]))
+    if out_dir is not None:  # an unusable directory fails before any method runs
+        pathlib.Path(out_dir).mkdir(parents=True, exist_ok=True)
     report = evaluation.run_benchmark(config)
     if out_dir is not None:
         report.write_series_csvs(out_dir)

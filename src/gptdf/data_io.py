@@ -16,7 +16,6 @@ from .gp_core import GPModel, Matern52, TemporalFeature, TimeSeries, sample_prio
 NORMALIZATION_MODES = ("online", "offline", "none")
 
 __all__ = [
-    "NormalizationStats",
     "PreparedStream",
     "load_csv",
     "normalize",
@@ -25,22 +24,6 @@ __all__ = [
     "check_data_spec",
     "resolve_data_spec",
 ]
-
-
-@dataclass(frozen=True)
-class NormalizationStats:
-    """Mean/std pair used to map a series to zero mean and unit sample std
-    (n-1 denominator)."""
-
-    mean: float
-    std: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.mean) and math.isfinite(self.std) and self.std > 0.0):
-            raise ValueError(f"invalid normalization stats: mean={self.mean}, std={self.std}")
-
-    def apply(self, values):
-        return (np.asarray(values, dtype=float) - self.mean) / self.std
 
 
 def _parse_float(text):
@@ -131,7 +114,8 @@ def load_csv(path, column=0, time_column=None):
 def normalize(data):
     """Center and scale to sample std one (n-1 denominator).
 
-    Returns the transformed series and its stats.
+    Returns the transformed series and the (mean, std) pair it was
+    transformed by: series = (data - mean) / std.
     Refuses series shorter than 2 points, with zero variance, or whose mean
     or std overflows.
     """
@@ -144,8 +128,7 @@ def normalize(data):
         raise DataError("zero variance: cannot normalize a constant series")
     if not (math.isfinite(mean) and math.isfinite(std)):
         raise DataError(f"values too large to normalize: mean={mean}, std={std}")
-    stats = NormalizationStats(mean, std)
-    return TimeSeries(data.timestamps, stats.apply(data.values)), stats
+    return TimeSeries(data.timestamps, (data.values - mean) / std), (mean, std)
 
 
 @dataclass(frozen=True)
@@ -176,9 +159,9 @@ def prepare_stream(data, mode="online"):
         n = len(data)
         return PreparedStream(data, np.zeros(n), np.ones(n))
     if mode == "offline":
-        series, stats = normalize(data)
+        series, (mean, std) = normalize(data)
         n = len(data)
-        return PreparedStream(series, np.full(n, stats.mean), np.full(n, stats.std))
+        return PreparedStream(series, np.full(n, mean), np.full(n, std))
 
     y = data.values
     n = len(data)

@@ -56,6 +56,8 @@ MESSAGE_FIELDS = ("type", "source_id", "sigma_f", "sigma_l", "sigma_n", "n_point
 _RECORD_KINDS = dict(zip(MESSAGE_FIELDS, (str, str, float, float, float, int, int)))
 # Envelope extras allowed next to the fixed fields
 ENVELOPE_FIELDS = ("limit", "status", "reason")
+# The JSON type of each field of a query; `limit` is its only envelope extra
+_QUERY_KINDS = {"type": str, "source_id": str, "limit": (int, type(None))}
 
 MIN_REPORT_POINTS = gp_core.MIN_FIT_POINTS
 
@@ -63,7 +65,7 @@ MIN_REPORT_POINTS = gp_core.MIN_FIT_POINTS
 # connection's deadline, counted from accept, to read its request line and
 # write the whole reply.
 SOCKET_TIMEOUT_S = 10.0
-# Longest request line a server reads; a longer one is cut there and rejected.
+# Longest request line `handle` reads; a longer one is cut there and rejected.
 MAX_LINE_BYTES = 1 << 16
 # Longest rejection reason a reply carries: a reason that quotes a hostile
 # request is cut to an excerpt, so a reply stays small whatever the request.
@@ -247,14 +249,19 @@ def _status(accepted, reason=""):
     return [encode_message(msg)]
 
 
-def handle(registry, line):
-    """Serve one request line against the registry; return the reply lines.
+def handle(registry, request):
+    """Serve one request against the registry; return the reply lines.
 
-    A report gets one status line. A query gets one line per matching
-    record, or one rejected status line when its `limit` is not a positive
-    integer. A line that is not a well-formed report or query is rejected
-    too, never raised: both transports answer every request through here.
+    `request` is what the transport received, str or bytes; only its first
+    line, cut at `MAX_LINE_BYTES` bytes, is read. A report gets one status
+    line. A query gets one line per matching record, or one rejected status
+    line when its `limit` is not a positive integer or it holds a mistyped
+    or unknown field. A line that is not a well-formed report or query is
+    rejected too, never raised: both transports answer every request here.
     """
+    if isinstance(request, str):
+        request = request.encode("utf-8")
+    line = request[:MAX_LINE_BYTES].partition(b"\n")[0].decode("utf-8", errors="replace")
     try:
         msg = decode_message(line)
     except ConfigError as exc:
@@ -267,7 +274,11 @@ def handle(registry, line):
     limit = msg.get("limit")
     if limit is not None and (type(limit) is not int or limit < 1):
         return _status(False, f"limit must be a positive integer, got {limit!r}")
-    records = registry.query(FeatureQuery(str(msg["source_id"]), limit)).records
+    try:
+        read_settings(msg, _QUERY_KINDS, "query")
+    except ValueError as exc:
+        return _status(False, str(exc))
+    records = registry.query(FeatureQuery(msg["source_id"], limit)).records
     return [registry.response_line(r) for r in records]
 
 
@@ -419,11 +430,9 @@ class _RegistryServer:
         chunk = conn.sock.recv(65536)
         start = len(conn.request)
         conn.request += chunk
-        end = conn.request.find(b"\n", start) + 1
-        if chunk and not end and len(conn.request) < MAX_LINE_BYTES:
+        if chunk and conn.request.find(b"\n", start) < 0 and len(conn.request) < MAX_LINE_BYTES:
             return  # the line is not complete yet
-        line = conn.request[:min(end or len(conn.request), MAX_LINE_BYTES)].removesuffix(b"\n")
-        replies = handle(self.registry, line.decode("utf-8", errors="replace"))
+        replies = handle(self.registry, conn.request)
         conn.request = None
         conn.reply = memoryview("".join(reply + "\n" for reply in replies).encode("utf-8"))
         self._write(conn)

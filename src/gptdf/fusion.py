@@ -34,7 +34,6 @@ __all__ = [
     "update_weights",
     "gaussian_log_density",
     "fuse_predictions",
-    "confidence_interval",
     "fused_prediction",
     "gptdf_step",
     "run_stream",
@@ -100,24 +99,23 @@ def gaussian_log_density(mean, variance, y):
     return -0.5 * ((y - mean) ** 2 / v + np.log(2.0 * np.pi * v))
 
 
-def confidence_interval(pred, k=3.0):
-    """(mean - k*sd, mean + k*sd); k=3 gives the widest band routinely logged."""
-    sd = math.sqrt(pred.variance)
-    return (pred.mean - k * sd, pred.mean + k * sd)
-
-
 @dataclass(frozen=True, eq=False)
 class FusedPrediction:
-    """Fused Gaussian and its 3-sigma interval, with the M-vectors of
-    per-expert means and variances and the predictive weights that fused
-    them. The vectors are the record's own copies. Records compare by
-    identity: array fields have no single truth value."""
+    """Fused Gaussian, with the M-vectors of per-expert means and variances
+    and the predictive weights that fused them. The vectors are the record's
+    own copies. Records compare by identity: array fields have no single
+    truth value."""
 
     distribution: PredictiveDistribution
-    interval_3sigma: tuple
     means: np.ndarray
     variances: np.ndarray
     omega_hat: np.ndarray
+
+    @property
+    def interval_3sigma(self):
+        """(mean - 3 sd, mean + 3 sd) of the fused Gaussian."""
+        sd = math.sqrt(self.distribution.variance)
+        return (self.distribution.mean - 3.0 * sd, self.distribution.mean + 3.0 * sd)
 
     @property
     def per_model(self):
@@ -142,7 +140,7 @@ def fuse_predictions(means, variances, omega_hat):
     wp = omega_hat / np.maximum(variances, VARIANCE_FLOOR)
     denom = wp.sum()
     dist = PredictiveDistribution(float((means * wp).sum() / denom), float(1.0 / denom))
-    return FusedPrediction(dist, confidence_interval(dist, 3.0), means, variances, omega_hat)
+    return FusedPrediction(dist, means, variances, omega_hat)
 
 
 # The last cache miss of `_window_gains`: the gain rows and unclamped variances

@@ -35,7 +35,6 @@ __all__ = [
     "MIN_FIT_POINTS",
     "eval_kernel",
     "build_covariance",
-    "build_noisy_covariance",
     "log_marginal_likelihood",
     "fit_hyperparameters",
     "predict",
@@ -152,15 +151,6 @@ def build_covariance(kernel, ts_a, ts_b):
     return _matern52(kernel.output_scale, kernel.length_scale, r)
 
 
-def build_noisy_covariance(K, noise_std):
-    """K + noise_std**2 * I. Positive definite whenever noise_std > 0."""
-    K = np.asarray(K, dtype=float)
-    if K.ndim != 2 or K.shape[0] != K.shape[1]:
-        raise ValueError(f"covariance matrix must be square, got shape {K.shape}")
-    noise_std = _check_scale("noise_std", noise_std, allow_zero=True)
-    return K + (noise_std ** 2) * np.eye(K.shape[0])
-
-
 def _cholesky_with_jitter(V):
     """Lower Cholesky factor of V + jitter*mean(diag(V))*I, and the jitter
     factor it took.
@@ -181,6 +171,13 @@ def _cholesky_with_jitter(V):
         except sla.LinAlgError:
             factor *= 10.0
     raise NumericalError("covariance not positive definite")
+
+
+def _noisy_factor(model, ts):
+    """Jittered lower Cholesky factor of the model's noisy covariance
+    K + noise_std**2 * I at the times `ts`."""
+    K = build_covariance(model.kernel, ts, ts)
+    return _cholesky_with_jitter(K + model.noise_std ** 2 * np.eye(K.shape[0]))[0]
 
 
 @dataclass(frozen=True)
@@ -252,9 +249,7 @@ def log_marginal_likelihood(model, data):
     """
     if len(data) == 0:
         raise DataError("cannot evaluate likelihood of an empty series")
-    K = build_covariance(model.kernel, data.timestamps, data.timestamps)
-    V = build_noisy_covariance(K, model.noise_std)
-    L, _ = _cholesky_with_jitter(V)
+    L = _noisy_factor(model, data.timestamps)
     r = data.values - model.mean
     alpha = sla.cho_solve((L, True), r)
     return float(-0.5 * r @ alpha - np.log(np.diag(L)).sum() - 0.5 * len(data) * LOG_2PI)
@@ -271,9 +266,7 @@ def predict(model, train, t_star):
     t_star = float(t_star)
     if train is None or len(train) == 0:
         return PredictiveDistribution(model.mean, eval_kernel(model.kernel, t_star, t_star))
-    K = build_covariance(model.kernel, train.timestamps, train.timestamps)
-    V = build_noisy_covariance(K, model.noise_std)
-    L, _ = _cholesky_with_jitter(V)
+    L = _noisy_factor(model, train.timestamps)
     k_star = build_covariance(model.kernel, [t_star], train.timestamps)[0]
     alpha = sla.cho_solve((L, True), train.values - model.mean)
     mean = model.mean + float(k_star @ alpha)
@@ -294,9 +287,7 @@ def sample_prior(model, ts, seed):
         raise DataError("empty input locations")
     if t.size > 1 and not np.all(np.diff(t) > 0.0):
         raise ValueError("timestamps must be strictly increasing")
-    K = build_covariance(model.kernel, t, t)
-    V = build_noisy_covariance(K, model.noise_std)
-    L, _ = _cholesky_with_jitter(V)
+    L = _noisy_factor(model, t)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     return model.mean + L @ rng.standard_normal(t.size)
 

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from gptdf import edge_sim
+from gptdf import edge_sim, evaluation
 from gptdf.cli import main
 
 from conftest import SHORT_SCALE_FEATURES
@@ -295,8 +295,8 @@ class TestBench:
         assert code == 0
         files = list(series_dir.glob("series_*.csv"))
         assert len(files) == 1
-        rows = list(csv.reader(open(files[0], encoding="utf-8")))
-        assert rows[0] == ["step", "t", "y", "mean", "var", "lo", "hi"]
+        with open(files[0], encoding="utf-8") as fh:
+            assert next(csv.reader(fh)) == ["step", "t", "y", "mean", "var", "lo", "hi"]
 
 
 class TestUsage:
@@ -311,14 +311,18 @@ class TestUsage:
         assert code == 2
 
     # a directory where a file is read or written, a file where the result
-    # directory goes: one error line, and simulate fails before any node runs
-    @pytest.mark.parametrize("command", ["fit", "predict", "generate", "simulate"])
+    # directory goes: one error line, and simulate and bench fail before any
+    # node or method runs
+    @pytest.mark.parametrize("command", ["fit", "predict", "generate", "simulate", "bench"])
     def test_unusable_path_exits_2(self, capsys, monkeypatch, tmp_path, command):
         features_path = tmp_path / "features.json"
         features_path.write_text(json.dumps(SHORT_SCALE_FEATURES))
         scenario_path = tmp_path / "scenario.json"
         scenario_path.write_text(json.dumps(scenario_dict()))
+        bench_path = tmp_path / "bench.json"
+        bench_path.write_text(json.dumps(BENCH))
         monkeypatch.setattr(edge_sim, "run_simulation", lambda *a: pytest.fail("a node ran"))
+        monkeypatch.setattr(evaluation, "run_benchmark", lambda *a: pytest.fail("a method ran"))
         args, unusable = {
             "fit": (["fit", str(tmp_path)], tmp_path),
             "predict": (["predict", str(tmp_path), "--features", str(features_path)], tmp_path),
@@ -326,6 +330,8 @@ class TestUsage:
                           "--out", str(tmp_path)], tmp_path),
             "simulate": (["simulate", str(scenario_path), "--out-dir", str(features_path)],
                          features_path),
+            "bench": (["bench", str(bench_path), "--out-dir", str(features_path)],
+                      features_path),
         }[command]
         code, out, err = run_cli(capsys, *args)
         assert code == 2

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gptdf.data_io import (
-    NormalizationStats,
     generate_synthetic,
     load_csv,
     normalize,
@@ -146,17 +145,17 @@ class TestLoadCsv:
 
 class TestNormalize:
     def test_three_point_exact(self):
-        series, stats = normalize(TimeSeries.from_values([1.0, 2.0, 3.0]))
+        series, (mean, std) = normalize(TimeSeries.from_values([1.0, 2.0, 3.0]))
         np.testing.assert_allclose(series.values, [-1.0, 0.0, 1.0])
-        assert stats.mean == pytest.approx(2.0)
-        assert stats.std == pytest.approx(1.0)
+        assert mean == pytest.approx(2.0)
+        assert std == pytest.approx(1.0)
 
     def test_idempotent_up_to_stats(self, rng):
         series, _ = normalize(TimeSeries.from_values(rng.normal(3.0, 2.0, 40)))
-        again, stats = normalize(series)
+        again, (mean, std) = normalize(series)
         np.testing.assert_allclose(again.values, series.values, atol=1e-12)
-        assert stats.mean == pytest.approx(0.0, abs=1e-12)
-        assert stats.std == pytest.approx(1.0, abs=1e-12)
+        assert mean == pytest.approx(0.0, abs=1e-12)
+        assert std == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_series_rejected(self):
         with pytest.raises(DataError, match="zero variance"):
@@ -177,24 +176,20 @@ class TestNormalize:
                              lambda v: np.std(v) > 1e-6))
     def test_round_trip(self, values):
         series = TimeSeries.from_values(values)
-        normalized, stats = normalize(series)
-        back = normalized.values * stats.std + stats.mean
+        normalized, (mean, std) = normalize(series)
+        back = normalized.values * std + mean
         np.testing.assert_allclose(back, series.values,
                                    rtol=1e-12, atol=1e-9)
-
-    def test_stats_validate(self):
-        with pytest.raises(ValueError):
-            NormalizationStats(0.0, 0.0)
 
 
 class TestPrepareStream:
     def test_offline_matches_normalize(self, rng):
         raw = TimeSeries.from_values(rng.normal(5.0, 2.0, 30))
         prepared = prepare_stream(raw, "offline")
-        expected, stats = normalize(raw)
+        expected, (mean, std) = normalize(raw)
         np.testing.assert_allclose(prepared.series.values, expected.values)
-        np.testing.assert_allclose(prepared.offsets, stats.mean)
-        np.testing.assert_allclose(prepared.scales, stats.std)
+        np.testing.assert_allclose(prepared.offsets, mean)
+        np.testing.assert_allclose(prepared.scales, std)
 
     def test_online_is_causal(self, rng):
         raw = TimeSeries.from_values(rng.normal(5.0, 2.0, 25))

@@ -265,8 +265,10 @@ class TestMessages:
             CloudRegistry(path=str(path))
 
     @pytest.mark.parametrize("line", ["", "not json", "[]", "5", '{"type": "response"}',
-                                      '{"type": "query"}', *HOSTILE_PARAMS,
-                                      *LONG_REASON_PARAMS])
+                                      '{"type": "query"}', '{"type": "query", "source_id": 5}',
+                                      '{"type": "query", "source_id": "t", '
+                                      '"raw_values": [1, 2, 3]}',
+                                      *HOSTILE_PARAMS, *LONG_REASON_PARAMS])
     def test_malformed_request_gets_one_rejected_line(self, line):
         replies = handle(CloudRegistry(), line)
         assert len(replies) == 1
@@ -534,14 +536,6 @@ def raw_exchange(address, payload):
     return b"".join(chunks)
 
 
-def served_line(payload):
-    """The request line a server hands to `handle`: through the first
-    newline, cut at MAX_LINE_BYTES, without its newline."""
-    end = payload.find(b"\n") + 1 or len(payload)
-    line = payload[:min(end, edge_sim.MAX_LINE_BYTES)].removesuffix(b"\n")
-    return line.decode("utf-8", errors="replace")
-
-
 def sixteen_records():
     registry = CloudRegistry()
     for i in range(16):
@@ -577,7 +571,7 @@ class TestSocketTransport:
         finally:
             server.shutdown()
             server.server_close()
-        lines = handle(reference, served_line(payload))
+        lines = handle(reference, payload)
         assert raw == "".join(line + "\n" for line in lines).encode("utf-8")
         assert served.snapshot() == reference.snapshot()
 
@@ -766,22 +760,23 @@ class TestSocketTransport:
         assert result.traffic == baseline.traffic
         assert result.bytes_by_node == baseline.bytes_by_node
 
-    # the server hands `handle` the line without its newline, so a reason
-    # that quotes the request reads the same over both channels
+    # `handle` reads the first line of a request, cut at MAX_LINE_BYTES, for
+    # both channels, so a reason that quotes the request reads the same over
+    # both; at the default limit the 100 KB lines are cut, at 1 MiB they are not
     @pytest.mark.parametrize("line", ["not json", "[]", '{"type": "query"}', *HOSTILE_PARAMS,
                                       *LONG_REASON_PARAMS])
     def test_bad_request_gets_the_same_reply_over_both_channels(self, monkeypatch, line):
-        # the server cuts a line past MAX_LINE_BYTES; these must arrive whole
-        monkeypatch.setattr(edge_sim, "MAX_LINE_BYTES", 1 << 20)
-        registry = CloudRegistry()
-        server, thread, address = serve_registry(registry)
-        try:
-            over_socket = SocketChannel(address)._send(line)
-        finally:
-            server.shutdown()
-            server.server_close()
-        assert over_socket == InProcessChannel(registry)._send(line)
-        assert json.loads(over_socket[0])["status"] == "rejected"
+        for max_line in (edge_sim.MAX_LINE_BYTES, 1 << 20):
+            monkeypatch.setattr(edge_sim, "MAX_LINE_BYTES", max_line)
+            registry = CloudRegistry()
+            server, thread, address = serve_registry(registry)
+            try:
+                over_socket = SocketChannel(address)._send(line)
+            finally:
+                server.shutdown()
+                server.server_close()
+            assert over_socket == InProcessChannel(registry)._send(line)
+            assert json.loads(over_socket[0])["status"] == "rejected"
 
     def test_refused_connection_raises_transport_error(self):
         with socket.socket() as probe:

@@ -212,7 +212,8 @@ class TestBenchmark:
     def test_series_files(self, report, tmp_path):
         written = report.write_series_csvs(tmp_path)
         assert len(written) == 6
-        rows = list(csv.reader(open(written[0], encoding="utf-8")))
+        with open(written[0], encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == list(SERIES_COLUMNS)
         assert len(rows) > 1
 

@@ -17,7 +17,6 @@ from gptdf.data_io import generate_synthetic
 from gptdf.fusion import (
     EnsembleState,
     WeightCollapseWarning,
-    confidence_interval,
     ensemble_from_features,
     fuse_predictions,
     fused_prediction,
@@ -182,19 +181,6 @@ class TestFuse:
         assert shuffled.variance == pytest.approx(base.variance, abs=1e-12)
 
 
-class TestConfidenceInterval:
-    def test_three_sigma_standard(self):
-        assert confidence_interval(PredictiveDistribution(0.0, 1.0), 3.0) == \
-            pytest.approx((-3.0, 3.0))
-
-    def test_zero_variance(self):
-        assert confidence_interval(PredictiveDistribution(5.0, 0.0), 7.0) == (5.0, 5.0)
-
-    def test_one_sigma(self):
-        assert confidence_interval(PredictiveDistribution(1.0, 4.0), 1.0) == \
-            pytest.approx((-1.0, 3.0))
-
-
 class TestEnsembleState:
     def test_from_features_starts_uniform(self):
         state = ensemble_from_features([TemporalFeature(1, 1, 0.1)] * 4)
@@ -315,10 +301,14 @@ class TestGptdfStep:
 class TestFusedPredictionHelpers:
     def test_interval_matches_three_sigma(self, rng):
         fused = fuse_predictions([1.0, 0.0], [0.5, 2.0], [0.4, 0.6])
-        lo, hi = fused.interval_3sigma
-        sd = math.sqrt(fused.distribution.variance)
-        assert lo == pytest.approx(fused.distribution.mean - 3 * sd)
-        assert hi == pytest.approx(fused.distribution.mean + 3 * sd)
+        point = fusion.FusedPrediction(PredictiveDistribution(5.0, 0.0), fused.means,
+                                       fused.variances, fused.omega_hat)
+        for pred in (fused, point):
+            lo, hi = pred.interval_3sigma
+            sd = math.sqrt(pred.distribution.variance)
+            assert lo == pytest.approx(pred.distribution.mean - 3 * sd)
+            assert hi == pytest.approx(pred.distribution.mean + 3 * sd)
+        assert point.interval_3sigma == (5.0, 5.0)
         assert sum(fused.omega_hat) == pytest.approx(1.0)
 
     def test_log_record_field_names(self):

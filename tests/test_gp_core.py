@@ -26,7 +26,6 @@ from gptdf.gp_core import (
     TemporalFeature,
     TimeSeries,
     build_covariance,
-    build_noisy_covariance,
     eval_kernel,
     fit_hyperparameters,
     log_marginal_likelihood,
@@ -112,21 +111,6 @@ class TestCovariance:
     def test_rectangular_shape(self):
         K = build_covariance(Matern52(1.0, 1.0), [0.0, 1.0, 2.0], [0.5, 1.5])
         assert K.shape == (3, 2)
-
-
-class TestNoisyCovariance:
-    def test_zero_noise_is_identity_operation(self):
-        np.testing.assert_array_equal(build_noisy_covariance([[1.0]], 0.0), [[1.0]])
-
-    def test_scalar_case(self):
-        np.testing.assert_allclose(build_noisy_covariance([[1.0]], 0.5), [[1.25]])
-
-    def test_identity_plus_unit_noise(self):
-        np.testing.assert_allclose(build_noisy_covariance(np.eye(2), 1.0), 2.0 * np.eye(2))
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError, match="square"):
-            build_noisy_covariance(np.ones((2, 3)), 0.1)
 
 
 class TestCholeskyJitter:
