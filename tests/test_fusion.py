@@ -710,3 +710,106 @@ class TestInverseFactors:
             if window is not None and k % 7 == 0:
                 ref = gp_core.predict(state.models[0], window, t[k])
                 assert fused.means[0] == pytest.approx(ref.mean, abs=1e-5)
+
+
+# Length scales at the corners of the default fit bounds and between them.
+SIGMA_L_BOUNDS = gp_core.FitConfig().sigma_l_bounds
+SIGMA_N_FLOOR = gp_core.FitConfig().sigma_n_bounds[0]
+
+
+@st.composite
+def step_streams(draw):
+    """A random online run: M experts, window length tau and forgetting
+    alpha; a time grid (regular, jittered, with gaps, or with near-duplicate
+    times); and how many of its leading points preload the window, as the
+    train-then-predict baseline seeds it, before the stepped points."""
+    m = draw(st.integers(1, 16))
+    tau = draw(st.integers(1, 100))
+    length_scales = st.one_of(st.sampled_from(SIGMA_L_BOUNDS), st.floats(0.3, 30.0))
+    # output scales of a unit-variance (normalized) stream
+    features = [TemporalFeature(draw(st.floats(0.3, 1.5)), draw(length_scales),
+                                draw(st.floats(SIGMA_N_FLOOR, 1.0))) for _ in range(m)]
+    grid = draw(st.sampled_from(["regular", "jittered", "gaps", "near-duplicates"]))
+    preload = draw(st.sampled_from([0, 0, tau // 2, tau, tau + 7]))
+    n = draw(st.integers(1, 30))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    size = preload + n
+    if grid == "regular":
+        # a dyadic spacing keeps every offset exact, so full windows hit the cache
+        t = draw(st.integers(-5, 5)) + draw(st.sampled_from([0.25, 0.5, 1.0, 2.0])) * np.arange(size)
+    elif grid == "jittered":
+        t = jittered(size, rng)
+    elif grid == "gaps":
+        t = np.cumsum(np.where(rng.uniform(size=size) < 0.7, 1.0, rng.integers(2, 6, size)))
+    else:
+        t = np.cumsum(np.where(rng.uniform(size=size) < 0.3, 1e-7, 1.0))
+    y = rng.normal(0.0, 1.0, size)
+    return (features, tau, draw(st.floats(0.05, 0.95)), draw(st.floats(-1.0, 1.0)),
+            TimeSeries(t[:preload], y[:preload]), TimeSeries(t[preload:], y[preload:]))
+
+
+def expert_tolerance(feature, n):
+    """How far an expert's prediction from an n-point window may lie from the
+    dense reference: 1e-12, the `TestBatchedExperts` tolerance, or, when the
+    window may be worse conditioned than 1e3, 1e-15 times the bound
+    1 + n sigma_f^2 / sigma_n^2 on its condition number. At the upper
+    length-scale bound a window is all but rank one, and the inverse factors
+    the online loop carries lose about one more digit to the dense solve
+    (up to 1.8e-15 times the bound over 3,000 examples, against 2e-16
+    elsewhere), so the factor is 1e-14 there."""
+    kappa = 1.0 + n * feature.sigma_f ** 2 / feature.sigma_n ** 2
+    return max(1e-12, kappa * (1e-14 if feature.sigma_l == SIGMA_L_BOUNDS[1] else 1e-15))
+
+
+def assert_bitwise(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes(), (actual, expected)
+
+
+class TestDifferentialStep:
+    """`gptdf_step` against a reference composed from the public checked
+    functions: each step's fusion, weight update and forgetting equal the
+    reference's bit for bit, and each expert equals the dense
+    `gp_core.predict` at the `TestBatchedExperts` tolerance."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(run=step_streams())
+    def test_step_equals_reference(self, run):
+        features, tau, alpha, mean, preload, stream = run
+        m = len(features)
+        state = ensemble_from_features(features, tau=tau, alpha=alpha, mean=mean)
+        state.window_times.extend(preload.timestamps.tolist())
+        state.window_values.extend(preload.values.tolist())
+        weights = np.full(m, 1.0 / m)
+        omega_hat = predictive_weights(weights, alpha)
+        assert_bitwise(state.omega_hat, omega_hat)
+        for t, y in zip(stream.timestamps.tolist(), stream.values.tolist()):
+            window = current_window(state) if len(state.window_times) else None
+            before = gp_core.diagnostics["variance_clamps"]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                fused, _ = gptdf_step(state, (t, y))
+            clamps = gp_core.diagnostics["variance_clamps"] - before
+            dense = [gp_core.predict(model, window, t) for model in state.models]
+            assert gp_core.diagnostics["variance_clamps"] - before - clamps == clamps
+            for feature, (pred, _), ref in zip(features, fused.per_model, dense):
+                tol = expert_tolerance(feature, 0 if window is None else len(window))
+                assert pred.mean == pytest.approx(ref.mean, abs=tol)
+                assert pred.variance == pytest.approx(ref.variance, abs=tol)
+
+            reference = fuse_predictions(fused.means, fused.variances, omega_hat)
+            assert_bitwise(fused.omega_hat, omega_hat)
+            assert_bitwise([fused.distribution.mean, fused.distribution.variance],
+                           [reference.distribution.mean, reference.distribution.variance])
+            with warnings.catch_warnings(record=True) as expected:
+                warnings.simplefilter("always")
+                if window is not None:
+                    log_lik = gaussian_log_density(fused.means, fused.variances, y)
+                    weights = update_weights(omega_hat, np.exp(log_lik - log_lik.max()))
+            omega_hat = predictive_weights(weights, alpha)
+            assert [w.category for w in caught if w.category is WeightCollapseWarning] == \
+                [w.category for w in expected]
+            assert_bitwise(state.weights, weights)
+            assert_bitwise(state.omega_hat, omega_hat)
