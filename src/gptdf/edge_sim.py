@@ -540,7 +540,7 @@ class Scenario:
             raise ConfigError(f"unknown normalization mode {self.normalization!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not 1 <= int(self.tau) <= sys.maxsize:  # a window's deque takes at most ssize_t
+        if not 1 <= int(self.tau) <= sys.maxsize:  # window indices are ssize_t
             raise ConfigError(f"tau must be >= 1 and <= {sys.maxsize}, got {self.tau}")
         if self.limit is not None and int(self.limit) < 1:
             raise ConfigError(f"limit must be >= 1, got {self.limit}")

@@ -106,9 +106,7 @@ def run_baseline_gp(stream, train_size, tau=fusion.DEFAULT_TAU, fit_config=None)
     if train_size >= n:
         raise DataError(f"training size {train_size} must be smaller than the stream ({n})")
     feature = gp_core.fit_hyperparameters(stream.head(train_size), fit_config)
-    state = fusion.ensemble_from_features([feature], tau=tau)
-    state.window_times.extend(stream.timestamps[:train_size].tolist())
-    state.window_values.extend(stream.values[:train_size].tolist())
+    state = fusion.ensemble_from_features([feature], tau=tau, window=stream.head(train_size))
     state.step = train_size
     tail = gp_core.TimeSeries(stream.timestamps[train_size:], stream.values[train_size:])
     records = fusion.run_stream(state, tail)
@@ -158,7 +156,7 @@ class BenchmarkConfig:
             raise ConfigError(f"duplicate method names in {names}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not 1 <= int(self.tau) <= sys.maxsize:  # a window's deque takes at most ssize_t
+        if not 1 <= int(self.tau) <= sys.maxsize:  # window indices are ssize_t
             raise ConfigError(f"tau must be >= 1 and <= {sys.maxsize}, got {self.tau}")
         if self.normalization not in data_io.NORMALIZATION_MODES:
             raise ConfigError(f"unknown normalization mode {self.normalization!r}")

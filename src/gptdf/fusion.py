@@ -15,14 +15,14 @@ import json
 import math
 import sys
 import warnings
-from collections import deque, namedtuple
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 from scipy.linalg import blas, lapack
 
 from . import gp_core
-from .gp_core import PredictiveDistribution
+from .gp_core import PredictiveDistribution, TimeSeries
 
 __all__ = [
     "EnsembleState",
@@ -48,6 +48,14 @@ VARIANCE_FLOOR = 1e-12
 
 DEFAULT_ALPHA = 0.9
 DEFAULT_TAU = 50
+
+# 2 pi of the density's normalizer; `gaussian_log_density` folds it the same way.
+_TWO_PI = 2.0 * np.pi
+_COLLAPSE = "all model likelihoods vanished; keeping predictive weights"
+# The online loop reduces with the ufuncs that `ndarray.sum` and `ndarray.max`
+# call, without their Python wrappers: the same reductions, bit for bit.
+_sum = np.add.reduce
+_max = np.maximum.reduce
 
 
 class WeightCollapseWarning(RuntimeWarning):
@@ -83,8 +91,7 @@ def update_weights(omega_hat, likelihoods):
     scores = oh * lik
     total = scores.sum()
     if total <= 0.0:
-        warnings.warn("all model likelihoods vanished; keeping predictive weights",
-                      WeightCollapseWarning)
+        warnings.warn(_COLLAPSE, WeightCollapseWarning)
         w = oh.copy()
     else:
         w = scores / total
@@ -96,15 +103,15 @@ def gaussian_log_density(mean, variance, y):
     """Log density of y under N(mean, variance), with the variance floored.
     Takes scalars or M-vectors, elementwise."""
     v = np.maximum(variance, VARIANCE_FLOOR)
-    return -0.5 * ((y - mean) ** 2 / v + np.log(2.0 * np.pi * v))
+    return -0.5 * ((y - mean) ** 2 / v + np.log(_TWO_PI * v))
 
 
 @dataclass(frozen=True, eq=False)
 class FusedPrediction:
     """Fused Gaussian, with the M-vectors of per-expert means and variances
-    and the predictive weights that fused them. The vectors are the record's
-    own copies. Records compare by identity: array fields have no single
-    truth value."""
+    and the predictive weights that fused them. No other object holds the
+    vectors. Records compare by identity: array fields have no single truth
+    value."""
 
     distribution: PredictiveDistribution
     means: np.ndarray
@@ -143,10 +150,65 @@ def fuse_predictions(means, variances, omega_hat):
     return FusedPrediction(dist, means, variances, omega_hat)
 
 
-# The last cache miss of `_window_gains`: the gain rows and unclamped variances
-# under their offsets key, and what `_slid_factors` slides the next window from
-# (inverse factors None when they carry escalated jitter).
-_WindowCache = namedtuple("_WindowCache", "key gains variances times t_star factors rows")
+# The last cache miss: its offsets key; the gain rows, and the predictive
+# variances clamped at zero with their clamp count, floored at VARIANCE_FLOOR
+# and as log(2 pi v) of the floored ones, which every hit reuses; and what
+# `_slid_factors` slides the next window from (inverse factors None when they
+# carry escalated jitter).
+_WindowCache = namedtuple(
+    "_WindowCache", "key gains variances clamps floored log_norm times t_star factors rows")
+
+# Per-state constants of the experts: means, as a vector and a column; output
+# and length scales as columns; noise and prior variances k(t, t); and the
+# post-update weight floor WEIGHT_FLOOR / M.
+_Experts = namedtuple(
+    "_Experts", "mean mean_col output_scale length_scale noise_var prior weight_floor")
+
+
+def _expert_constants(models):
+    mean = np.array([m.mean for m in models])
+    sf = np.array([m.kernel.output_scale for m in models])[:, None]
+    return _Experts(mean, mean[:, None], sf,
+                    np.array([m.kernel.length_scale for m in models])[:, None],
+                    np.array([m.noise_std for m in models]) ** 2, sf[:, 0] ** 2,
+                    WEIGHT_FLOOR / len(models))
+
+
+class _Window:
+    """The last `tau` observations, kept as the slice [lo, hi) of two buffers,
+    so reading the window copies nothing. An append that finds the buffers
+    full moves the window to their front, about once per `tau` appends; the
+    buffers double, up to twice `tau`, as the window fills, so a long `tau`
+    costs memory only for the points seen."""
+
+    __slots__ = ("tau", "times", "values", "lo", "hi")
+
+    def __init__(self, tau, times, values):
+        n = min(len(times), tau)
+        self.tau = tau
+        self.times = np.empty(min(2 * tau, max(16, 2 * n)))
+        self.values = np.empty(self.times.size)
+        self.times[:n] = times[len(times) - n:]
+        self.values[:n] = values[len(values) - n:]
+        self.lo, self.hi = 0, n
+
+    def append(self, t, y):
+        if self.hi == self.times.size:
+            kept = min(self.hi - self.lo, self.tau - 1)  # what stays once (t, y) is in
+            size = self.times.size
+            if 2 * (kept + 1) > size:
+                size = min(2 * size, 2 * self.tau)
+            for name in ("times", "values"):
+                old = getattr(self, name)
+                new = old if size == old.size else np.empty(size)
+                new[:kept] = old[self.hi - kept:self.hi]
+                setattr(self, name, new)
+            self.lo, self.hi = 0, kept
+        self.times[self.hi] = t
+        self.values[self.hi] = y
+        self.hi += 1
+        if self.hi - self.lo > self.tau:
+            self.lo += 1
 
 
 @dataclass
@@ -157,7 +219,10 @@ class EnsembleState:
     Single-writer: `gptdf_step` mutates the state in place. `weights` holds
     the posterior model weights; `omega_hat` the flattened predictive weights
     that the next fusion will use. The models are fixed for the life of the
-    state: the window cache depends on the window alone.
+    state: their constants are read once, and the window cache depends on
+    the window alone. `window` preloads the window with the last `tau`
+    points of a TimeSeries; after that only `gptdf_step` appends to it, and
+    `window_times` and `window_values` read it, oldest first.
     """
 
     models: list
@@ -165,36 +230,48 @@ class EnsembleState:
     omega_hat: np.ndarray
     alpha: float = DEFAULT_ALPHA
     tau: int = DEFAULT_TAU
-    window_times: deque = field(default=None)
-    window_values: deque = field(default=None)
+    window: InitVar[TimeSeries] = None
     step: int = 0
+    _window: _Window = field(default=None, init=False, repr=False, compare=False)
+    _experts: _Experts = field(default=None, init=False, repr=False, compare=False)
     _window_cache: _WindowCache = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, window):
         if len(self.models) < 1:
             raise ValueError("ensemble needs at least one model")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"forgetting parameter must lie in (0, 1), got {self.alpha}")
-        if not 1 <= int(self.tau) <= sys.maxsize:  # deque's maxlen is an ssize_t
+        if not 1 <= int(self.tau) <= sys.maxsize:  # window indices are ssize_t
             raise ValueError(f"window length must be >= 1 and <= {sys.maxsize}")
+        self.alpha = float(self.alpha)
         self.tau = int(self.tau)
-        self.weights = np.asarray(self.weights, dtype=float)
-        self.omega_hat = np.asarray(self.omega_hat, dtype=float)
+        # copies: the first step hands `omega_hat` to its record
+        self.weights = np.array(self.weights, dtype=float)
+        self.omega_hat = np.array(self.omega_hat, dtype=float)
         for name in ("weights", "omega_hat"):
             w = getattr(self, name)
             if w.shape != (len(self.models),) or np.any(w <= 0.0):
                 raise ValueError(f"{name} must be strictly positive, one per model")
             if abs(w.sum() - 1.0) > 1e-12:
                 raise ValueError(f"{name} must sum to one")
-        if self.window_times is None:
-            self.window_times = deque(maxlen=self.tau)
-        if self.window_values is None:
-            self.window_values = deque(maxlen=self.tau)
+        if window is None:
+            window = TimeSeries(np.empty(0), np.empty(0))
+        self._window = _Window(self.tau, window.timestamps, window.values)
+        self._experts = _expert_constants(self.models)
+
+    @property
+    def window_times(self):
+        return tuple(self._window.times[self._window.lo:self._window.hi].tolist())
+
+    @property
+    def window_values(self):
+        return tuple(self._window.values[self._window.lo:self._window.hi].tolist())
 
 
-def ensemble_from_features(features, tau=DEFAULT_TAU, alpha=DEFAULT_ALPHA, mean=0.0):
+def ensemble_from_features(features, tau=DEFAULT_TAU, alpha=DEFAULT_ALPHA, mean=0.0,
+                           window=None):
     """Build an ensemble of one expert per feature triple, starting from
-    uniform weights."""
+    uniform weights, its window preloaded from the TimeSeries `window`."""
     features = list(features)
     if not features:
         raise ValueError("ensemble needs at least one feature")
@@ -203,7 +280,7 @@ def ensemble_from_features(features, tau=DEFAULT_TAU, alpha=DEFAULT_ALPHA, mean=
     weights = np.full(m, 1.0 / m)
     return EnsembleState(models=models, weights=weights,
                          omega_hat=predictive_weights(weights, alpha),
-                         alpha=alpha, tau=tau)
+                         alpha=alpha, tau=tau, window=window)
 
 
 def _inverse_factors(V):
@@ -230,9 +307,11 @@ def _slid_factors(state, times, diagonal):
     d_j^2 <= 1e-3 `diagonal`_j: it marks a nearly singular window, where a
     slid factor drifts from the dense solution.
     """
-    if state._window_cache is None or state._window_cache.factors is None:
+    cached = state._window_cache
+    if cached is None or cached.factors is None:
         return None
-    _, gains, _, prev_times, prev_t, factors, rows = state._window_cache
+    gains, prev_times, prev_t, factors, rows = (
+        cached.gains, cached.times, cached.t_star, cached.factors, cached.rows)
     m, n = rows.shape
     drop = times.size == n
     if not np.array_equal(times, np.append(prev_times[1:] if drop else prev_times, prev_t)):
@@ -262,31 +341,21 @@ def _slid_factors(state, times, diagonal):
 def _window_gains(state, t_star):
     """Per-expert gain rows W_j = V_j^-1 k*_j and unclamped predictive
     variances k(t*, t*) - k*_j' V_j^-1 k*_j for predicting `t_star` from the
-    current window.
+    current window; stores them as the last cache miss.
 
-    Both depend on the window only through its offsets t* - t_i, so they are
-    cached on the state under those offsets' bytes: on a regular grid with a
-    full window every step hits, and a step costs one (M, tau) product. A
-    gap, an irregular grid or a filling window misses. A miss takes rows
-    G_j k*_j and gains rows_j' G_j from the window's inverse factors G_j, with
-    G_j'G_j the inverse of V_j plus its ridge. `_slid_factors` gives them in
-    O(M tau^2) when the window is the last miss's plus the point it predicted;
-    any other miss factors each expert's window with `_inverse_factors`,
+    Called on a miss of `_predictions`' cache. A miss takes rows G_j k*_j and
+    gains rows_j' G_j from the window's inverse factors G_j, with G_j'G_j the
+    inverse of V_j plus its ridge. `_slid_factors` gives them in O(M tau^2)
+    when the window is the last miss's plus the point it predicted; any
+    other miss factors each expert's window with `_inverse_factors`,
     O(M tau^3).
     """
-    times = np.array(state.window_times)
+    window = state._window
+    times = window.times[window.lo:window.hi]
     offsets = t_star - times
-    key = offsets.tobytes()
-    cached = state._window_cache
-    if cached is not None and cached.key == key:
-        return cached.gains, cached.variances
-
-    models = state.models
-    sf = np.array([m.kernel.output_scale for m in models])[:, None]
-    sl = np.array([m.kernel.length_scale for m in models])[:, None]
-    noise_var = np.array([m.noise_std for m in models]) ** 2
-    prior = sf[:, 0] ** 2  # k(t*, t*) of each expert
-    G = carried = _slid_factors(state, times, prior + noise_var)
+    e = state._experts
+    sf, sl, noise_var = e.output_scale, e.length_scale, e.noise_var
+    G = carried = _slid_factors(state, times, e.prior + noise_var)
     if G is None:
         r = np.abs(times[:, None] - times[None, :])
         K = gp_core._matern52(sf[:, :, None], sl[:, :, None], r)
@@ -294,9 +363,55 @@ def _window_gains(state, t_star):
     k_star = gp_core._matern52(sf, sl, np.abs(offsets))
     rows = np.matmul(G, k_star[:, :, None])[:, :, 0]
     gains = np.matmul(rows[:, None, :], G)[:, 0]
-    variances = prior - np.einsum("ij,ij->i", rows, rows)
-    state._window_cache = _WindowCache(key, gains, variances, times, t_star, carried, rows)
+    variances = e.prior - np.einsum("ij,ij->i", rows, rows)
+    state._window_cache = _WindowCache(offsets.tobytes(), gains, variances, None, None, None,
+                                       times.copy(), t_star, carried, rows)
     return gains, variances
+
+
+def _predictions(state, t_star):
+    """Each expert's mean and predictive variance (clamped at zero) at
+    `t_star` from the current window, the variances floored at
+    VARIANCE_FLOOR, and log(2 pi v) of the floored ones (None for an empty
+    window, whose predictions are the priors).
+
+    Everything but the means depends on the window only through its offsets
+    t* - t_i, so it is cached under those offsets' bytes: on a regular grid
+    with a full window every step hits, and costs one (M, tau) product.
+    A gap, an irregular grid or a filling window misses. Clamps count into
+    `gp_core.diagnostics` on every call, hit or miss, as the dense
+    `gp_core.predict` counts them.
+    """
+    e = state._experts
+    window = state._window
+    if window.hi == window.lo:
+        return e.mean.copy(), e.prior.copy(), np.maximum(e.prior, VARIANCE_FLOOR), None
+    key = (t_star - window.times[window.lo:window.hi]).tobytes()
+    cached = state._window_cache
+    if cached is None or cached.key != key:
+        gains, variances = _window_gains(state, t_star)
+        clamps = int((variances < 0.0).sum())
+        if clamps:
+            variances = np.maximum(variances, 0.0)
+        floored = np.maximum(variances, VARIANCE_FLOOR)
+        cached = state._window_cache = state._window_cache._replace(
+            gains=gains, variances=variances, clamps=clamps, floored=floored,
+            log_norm=np.log(_TWO_PI * floored))
+    if cached.clamps:
+        gp_core.diagnostics["variance_clamps"] += cached.clamps
+    y = window.values[window.lo:window.hi]
+    means = e.mean + _sum(cached.gains * (y - e.mean_col), axis=1)
+    return means, cached.variances.copy(), cached.floored, cached.log_norm
+
+
+def _fused(means, variances, floored, omega_hat):
+    """`fuse_predictions` of vectors the online loop built: the same
+    arithmetic, without the checks and copies, and with the variances
+    already floored."""
+    wp = omega_hat / floored
+    denom = _sum(wp)
+    dist = PredictiveDistribution(float(_sum(means * wp) / denom), float(1.0 / denom))
+    return FusedPrediction(dist, means, variances, omega_hat)
 
 
 def fused_prediction(state, t_star):
@@ -306,20 +421,8 @@ def fused_prediction(state, t_star):
     Each expert's prediction equals `gp_core.predict(model, window, t_star)`,
     the dense single-model reference, computed for all experts at once.
     """
-    models = state.models
-    mu = np.array([m.mean for m in models])
-    if state.window_times:
-        gains, variances = _window_gains(state, t_star)
-        y = np.array(state.window_values)
-        means = mu + (gains * (y - mu[:, None])).sum(axis=1)
-        clamped = variances < 0.0
-        if clamped.any():
-            gp_core.diagnostics["variance_clamps"] += int(clamped.sum())
-            variances = np.maximum(variances, 0.0)
-    else:
-        means = mu
-        variances = np.array([m.kernel.output_scale for m in models]) ** 2
-    return fuse_predictions(means, variances, state.omega_hat)
+    means, variances, floored, _ = _predictions(state, t_star)
+    return _fused(means, variances, floored, state.omega_hat.copy())
 
 
 def gptdf_step(state, new_obs):
@@ -334,26 +437,43 @@ def gptdf_step(state, new_obs):
     the first call, which fuses pure prior predictions), the forgetting
     exponent produces the next predictive weights, and the observation is
     appended to the window.
+
+    The fusion, log density, weight update and forgetting run inline on the
+    M-vectors with the arithmetic of `fuse_predictions`,
+    `gaussian_log_density`, `update_weights` and `predictive_weights`, in the
+    same order, so their results are equal bit for bit.
     """
     t, y = new_obs
     t = float(t)
     y = float(y)
     if not (math.isfinite(t) and math.isfinite(y)):
         raise ValueError(f"observation must be finite, got ({t}, {y})")
-    if state.window_times and t <= state.window_times[-1]:
-        raise ValueError(
-            f"observation timestamp {t} does not increase past {state.window_times[-1]}")
+    window = state._window
+    if window.hi > window.lo and t <= window.times[window.hi - 1]:
+        raise ValueError(f"observation timestamp {t} does not increase past "
+                         f"{float(window.times[window.hi - 1])}")
 
-    fused = fused_prediction(state, t)
-    if state.window_times:
+    means, variances, floored, log_norm = _predictions(state, t)
+    omega_hat = state.omega_hat
+    # The record takes `omega_hat`: the state gets new predictive weights below.
+    fused = _fused(means, variances, floored, omega_hat)
+    if log_norm is not None:
         # Likelihoods relative to the best expert's: the update is invariant
         # to that scale, and one surprising observation can no longer
         # underflow every density and collapse the update.
-        log_lik = gaussian_log_density(fused.means, fused.variances, y)
-        state.weights = update_weights(state.omega_hat, np.exp(log_lik - log_lik.max()))
-    state.omega_hat = predictive_weights(state.weights, state.alpha)
-    state.window_times.append(t)
-    state.window_values.append(y)
+        log_lik = -0.5 * ((y - means) ** 2 / floored + log_norm)
+        scores = omega_hat * np.exp(log_lik - _max(log_lik))
+        total = _sum(scores)
+        if total <= 0.0:
+            warnings.warn(_COLLAPSE, WeightCollapseWarning)
+            w = omega_hat
+        else:
+            w = scores / total
+        w = np.maximum(w, state._experts.weight_floor)
+        state.weights = w / _sum(w)
+    p = state.weights ** state.alpha
+    state.omega_hat = p / _sum(p)
+    window.append(t, y)
     state.step += 1
     return fused, state
 

@@ -199,7 +199,7 @@ class TestEnsembleState:
             EnsembleState(models=models, weights=np.array([0.5]),
                           omega_hat=np.array([0.5]))
 
-    # a deque's maxlen is a C ssize_t: past it, a ValueError, not an OverflowError
+    # window indices are C ssize_t: past that, a ValueError, not an OverflowError
     @pytest.mark.parametrize("tau", [0, sys.maxsize + 1])
     def test_window_length_out_of_range_rejected(self, tau):
         with pytest.raises(ValueError, match="window length must be >= 1"):
@@ -232,6 +232,13 @@ class TestGptdfStep:
             gptdf_step(state, (float(k), 0.0))
         assert len(state.window_times) == 5
         assert list(state.window_times) == [7.0, 8.0, 9.0, 10.0, 11.0]
+
+    def test_longest_window_holds_only_points_seen(self):
+        state = ensemble_from_features([TemporalFeature(1, 1, 0.1)], tau=sys.maxsize)
+        for k in range(40):
+            gptdf_step(state, (float(k), 0.0))
+        assert list(state.window_times) == [float(k) for k in range(40)]
+        assert state._window.times.size <= 2 * 40 + 16
 
     def test_single_model_collapses_to_windowed_gp(self):
         feature = TemporalFeature(0.8215, 2.0752, 0.1001)
@@ -516,10 +523,8 @@ class TestBatchedExperts:
         assert_matches_dense(models, stream, 6, steps)
 
     def test_variance_clamps_counted_like_dense(self, monkeypatch):
-        state = ensemble_from_features(MIXED_FEATURES, tau=10)
-        state.window_times.extend(range(10))
-        state.window_values.extend(np.linspace(-1.0, 1.0, 10).tolist())
-        window = TimeSeries(np.array(state.window_times), np.array(state.window_values))
+        window = TimeSeries(np.arange(10.0), np.linspace(-1.0, 1.0, 10))
+        state = ensemble_from_features(MIXED_FEATURES, tau=10, window=window)
         # a prior variance below what the window explains drives every
         # expert's predictive variance negative, on both paths
         real_gains = fusion._window_gains
@@ -597,12 +602,9 @@ class TestBatchedExperts:
     def test_window_filled_by_hand(self, monkeypatch, rng):
         tau = 15
         t = jittered(tau + 10, rng)
-        state = ensemble_from_features(MIXED_FEATURES, tau=tau)
-        for k in range(3):
-            gptdf_step(state, (t[k] - 100.0, 0.0))
-        # replace the stepped window by hand: its factors no longer apply
-        state.window_times.extend(t[:tau].tolist())
-        state.window_values.extend(np.linspace(-1.0, 1.0, tau).tolist())
+        # a window preloaded with points no step has seen: no factors carry to it
+        state = ensemble_from_features(MIXED_FEATURES, tau=tau,
+                                       window=TimeSeries(t[:tau], np.linspace(-1.0, 1.0, tau)))
         calls = count_refactors(monkeypatch)
         for k in range(tau, t.size):
             checked_step(state, t[k], float(k % 3))
@@ -779,9 +781,7 @@ class TestDifferentialStep:
     def test_step_equals_reference(self, run):
         features, tau, alpha, mean, preload, stream = run
         m = len(features)
-        state = ensemble_from_features(features, tau=tau, alpha=alpha, mean=mean)
-        state.window_times.extend(preload.timestamps.tolist())
-        state.window_values.extend(preload.values.tolist())
+        state = ensemble_from_features(features, tau=tau, alpha=alpha, mean=mean, window=preload)
         weights = np.full(m, 1.0 / m)
         omega_hat = predictive_weights(weights, alpha)
         assert_bitwise(state.omega_hat, omega_hat)
