@@ -13,6 +13,7 @@ both transports validate and reply alike.
 
 from __future__ import annotations
 
+import errno
 import json
 import selectors
 import socket
@@ -447,7 +448,13 @@ class _RegistryServer:
             self._selector.modify(conn.sock, selectors.EVENT_WRITE, conn)
             return
         # one request per connection; end of stream frames the reply
-        conn.sock.shutdown(socket.SHUT_WR)
+        try:
+            conn.sock.shutdown(socket.SHUT_WR)
+        except OSError as exc:
+            if exc.errno != errno.ENOTCONN:
+                raise
+            self._close(conn)  # the client hung up before its reply
+            return
         self._selector.modify(conn.sock, selectors.EVENT_READ, conn)
 
     def _close(self, conn):

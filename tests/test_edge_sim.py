@@ -820,6 +820,19 @@ class TestSocketTransport:
             server.server_close()
         assert len(registry.snapshot()) == 1
 
+    def test_client_that_hangs_up_unheard_is_closed_silently(self, capfd):
+        registry = CloudRegistry()
+        server, thread, address = serve_registry(registry)
+        try:
+            for _ in range(5):
+                socket.create_connection(address, timeout=5.0).close()
+            # served after the hung-up connections, so they were handled
+            assert SocketChannel(address).report(record()).accepted
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert capfd.readouterr().err == ""
+
     def test_over_long_request_line_is_cut_and_rejected(self, monkeypatch):
         monkeypatch.setattr(edge_sim, "MAX_LINE_BYTES", 64)
         registry = CloudRegistry()
