@@ -79,7 +79,8 @@ def fit(ctx, csv_path, column, time_column, restarts, fit_config_path, no_normal
 @click.option("--sigma-f", type=float, required=True)
 @click.option("--sigma-l", type=float, required=True)
 @click.option("--sigma-n", type=float, default=0.0, show_default=True)
-@click.option("-n", "--length", type=click.IntRange(1), required=True, help="Number of points.")
+@click.option("-n", "--length", type=click.IntRange(1, gp_core.MAX_SAMPLE_POINTS), required=True,
+              help="Number of points.")
 @click.option("--out", type=click.Path(), default=None, help="Write CSV here instead of stdout.")
 @click.pass_context
 def generate(ctx, sigma_f, sigma_l, sigma_n, length, out):

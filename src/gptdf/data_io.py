@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MALFORMED, ConfigError, DataError, read_settings
-from .gp_core import GPModel, Matern52, TemporalFeature, TimeSeries, sample_prior
+from .gp_core import (MAX_SAMPLE_POINTS, GPModel, Matern52, TemporalFeature, TimeSeries,
+                      sample_prior)
 
 NORMALIZATION_MODES = ("online", "offline", "none")
 
@@ -211,8 +212,9 @@ def check_data_spec(spec, what="data spec"):
         if isinstance(spec, dict) and "synthetic" in spec:
             s = read_settings(spec, {"synthetic": _SYNTHETIC_SPEC}, "data spec")["synthetic"]
             feature, n = TemporalFeature(s["sigma_f"], s["sigma_l"], s["sigma_n"]), s["n"]
-            if n < 1 or s.get("seed", 0) < 0:
-                raise ValueError(f"synthetic n must be >= 1 and seed >= 0: {s}")
+            if not 1 <= n <= MAX_SAMPLE_POINTS or s.get("seed", 0) < 0:
+                raise ValueError(f"synthetic n must be >= 1 and <= {MAX_SAMPLE_POINTS} "
+                                 f"and seed >= 0: {s}")
             return lambda seed: generate_synthetic(feature, n, s.get("seed", seed))
         s = read_settings(spec, _CSV_SPEC, "data spec")
         path = s.pop("csv")

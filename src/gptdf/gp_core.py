@@ -278,13 +278,20 @@ def predict(model, train, t_star):
     return PredictiveDistribution(mean, variance)
 
 
+# The dense sampler holds about five n x n matrices at once: 1 GB at 5,000
+# points and 2.8 GB at this bound. A longer draw is refused before any work.
+MAX_SAMPLE_POINTS = 8192
+
+
 def sample_prior(model, ts, seed):
     """One draw from the model's prior (including observation noise) at the
-    given strictly increasing time points. Deterministic per seed; a
-    numpy Generator is also accepted."""
+    given strictly increasing time points, at most MAX_SAMPLE_POINTS of them.
+    Deterministic per seed; a numpy Generator is also accepted."""
     t = np.atleast_1d(np.asarray(ts, dtype=float))
     if t.size == 0:
         raise DataError("empty input locations")
+    if t.size > MAX_SAMPLE_POINTS:
+        raise DataError(f"cannot sample {t.size} points: at most {MAX_SAMPLE_POINTS}")
     if t.size > 1 and not np.all(np.diff(t) > 0.0):
         raise ValueError("timestamps must be strictly increasing")
     L = _noisy_factor(model, t)

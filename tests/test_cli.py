@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from gptdf import edge_sim, evaluation
+from gptdf import edge_sim, evaluation, gp_core
 from gptdf.cli import main
 
 from conftest import SHORT_SCALE_FEATURES
@@ -97,6 +97,14 @@ class TestGenerate:
         _, out_a, _ = run_cli(capsys, *args)
         _, out_b, _ = run_cli(capsys, *args)
         assert out_a == out_b
+
+    def test_more_points_than_the_sampler_holds_exit_2(self, capsys, tmp_path):
+        out = tmp_path / "stream.csv"
+        code, _, err = run_cli(capsys, "generate", "--sigma-f", "1.0", "--sigma-l", "1.0",
+                               "-n", str(gp_core.MAX_SAMPLE_POINTS + 1), "--out", str(out))
+        assert code == 2
+        assert "--length" in err
+        assert not out.exists()
 
     def test_bad_parameters_exit_2(self, capsys):
         for args in (["generate", "--sigma-f", "-1.0", "--sigma-l", "1.0", "-n", "5"],
@@ -352,10 +360,14 @@ MALFORMED_SETTINGS = {
                                "features": [{"sigma_f": 1.0, "sigma_n": 0.1}]}]})),
     "scenario-tau-text": ("simulate", json.dumps({**scenario_dict(), "tau": "abc"})),
     "scenario-tau-overflow": ("simulate", json.dumps(scenario_dict())[:-1] + ', "tau": 1e400}'),
-    # an integer past the C ssize_t that a window's deque takes
+    # an integer past the C ssize_t that window indices take
     "scenario-tau-past-ssize-t": ("simulate", json.dumps({**scenario_dict(), "tau": 10 ** 20})),
     "bench-tau-past-ssize-t": ("bench", json.dumps({**BENCH, "tau": 10 ** 20})),
     "bench-alpha-text": ("bench", json.dumps({**BENCH, "alpha": "x"})),
+    # more points than the dense sampler holds
+    "bench-stream-past-sampler": ("bench", json.dumps(
+        {**BENCH, "stream": {"synthetic": {**BENCH["stream"]["synthetic"],
+                                           "n": gp_core.MAX_SAMPLE_POINTS + 1}}})),
     "fit-config-list": ("fit", "[]"),
     "fit-config-restarts-overflow": ("fit", '{"restarts": 1e400}'),
     "scenario-fit-list": ("simulate", json.dumps({**scenario_dict(), "fit": []})),

@@ -268,6 +268,11 @@ class TestSamplePrior:
         with pytest.raises(ValueError):
             sample_prior(model, [0.0, 0.0, 1.0], 0)
 
+    def test_more_points_than_it_holds_rejected(self):
+        model = GPModel(Matern52(1.0, 1.0), 0.1)
+        with pytest.raises(DataError, match=f"at most {gp_core.MAX_SAMPLE_POINTS}"):
+            sample_prior(model, np.arange(gp_core.MAX_SAMPLE_POINTS + 1.0), 0)
+
 
 class TestGradient:
     def test_matches_finite_differences(self, rng):
