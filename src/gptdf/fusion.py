@@ -183,7 +183,7 @@ class _Window:
 
     __slots__ = ("tau", "times", "values", "lo", "hi")
 
-    def __init__(self, tau, times, values):
+    def __init__(self, tau, times=(), values=()):
         n = min(len(times), tau)
         self.tau = tau
         self.times = np.empty(min(2 * tau, max(16, 2 * n)))
@@ -254,9 +254,8 @@ class EnsembleState:
                 raise ValueError(f"{name} must be strictly positive, one per model")
             if abs(w.sum() - 1.0) > 1e-12:
                 raise ValueError(f"{name} must sum to one")
-        if window is None:
-            window = TimeSeries(np.empty(0), np.empty(0))
-        self._window = _Window(self.tau, window.timestamps, window.values)
+        self._window = (_Window(self.tau) if window is None
+                        else _Window(self.tau, window.timestamps, window.values))
         self._experts = _expert_constants(self.models)
 
     @property
