@@ -774,7 +774,7 @@ class TestDifferentialStep:
     """`gptdf_step` against a reference composed from the public checked
     functions: each step's fusion, weight update and forgetting equal the
     reference's bit for bit, and each expert equals the dense
-    `gp_core.predict` at the `TestBatchedExperts` tolerance."""
+    `gp_core.predict` within `expert_tolerance`."""
 
     @settings(max_examples=40, deadline=None)
     @given(run=step_streams())
