@@ -22,6 +22,7 @@ import numpy as np
 from scipy.linalg import blas, lapack
 
 from . import gp_core
+from .errors import DataError
 from .gp_core import PredictiveDistribution, TimeSeries
 
 __all__ = [
@@ -409,7 +410,10 @@ def _fused(means, variances, floored, omega_hat):
     already floored."""
     wp = omega_hat / floored
     denom = _sum(wp)
-    dist = PredictiveDistribution(float(_sum(means * wp) / denom), float(1.0 / denom))
+    try:
+        dist = PredictiveDistribution(float(_sum(means * wp) / denom), float(1.0 / denom))
+    except ValueError as exc:  # the window's values overflow the experts' arithmetic
+        raise DataError(f"fused prediction overflows: {exc}") from None
     return FusedPrediction(dist, means, variances, omega_hat)
 
 
@@ -463,7 +467,8 @@ def gptdf_step(state, new_obs):
         log_lik = -0.5 * ((y - means) ** 2 / floored + log_norm)
         scores = omega_hat * np.exp(log_lik - _max(log_lik))
         total = _sum(scores)
-        if total <= 0.0:
+        # NaN when every density overflowed to -inf: the same collapse
+        if not total > 0.0:
             warnings.warn(_COLLAPSE, WeightCollapseWarning)
             w = omega_hat
         else:

@@ -3,10 +3,13 @@
 import csv
 import io
 import json
+import math
+import warnings
 
+import numpy as np
 import pytest
 
-from gptdf import edge_sim, evaluation, gp_core
+from gptdf import edge_sim, evaluation, fusion, gp_core
 from gptdf.cli import main
 
 from conftest import SHORT_SCALE_FEATURES
@@ -305,6 +308,61 @@ class TestBench:
         assert len(files) == 1
         with open(files[0], encoding="utf-8") as fh:
             assert next(csv.reader(fh)) == ["step", "t", "y", "mean", "var", "lo", "hi"]
+
+
+class TestOverflowingValues:
+    """Un-normalized values whose squared residuals overflow every expert's
+    log density: each such step is a weight collapse, and a fused prediction
+    that overflows is a data error, never a traceback."""
+
+    def run(self, capsys, tmp_path, command, value):
+        path = tmp_path / "stream.csv"
+        path.write_text(f"t,y\n0,{value}\n1,-{value}\n2,{value}\n3,-{value}\n")
+        features = SHORT_SCALE_FEATURES[:2]
+        if command == "predict":
+            features_path = tmp_path / "features.json"
+            features_path.write_text(json.dumps(features))
+            args = ["predict", str(path), "--column", "y", "--features", str(features_path),
+                    "--normalization", "none"]
+        else:
+            config_path = tmp_path / "bench.json"
+            config_path.write_text(json.dumps({
+                "stream": {"csv": str(path), "column": "y", "time_column": "t"}, "tau": 10,
+                "normalization": "none",
+                "methods": [{"name": "m", "kind": "fusion", "features": features}]}))
+            args = ["bench", str(config_path)]
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", fusion.WeightCollapseWarning)
+            return run_cli(capsys, *args)
+
+    def test_predict_collapses_and_keeps_finite_weights(self, capsys, tmp_path):
+        code, out, err = self.run(capsys, tmp_path, "predict", "1e200")
+        assert code == 0
+        assert "Traceback" not in err
+        lines = [json.loads(line) for line in out.splitlines()]
+        assert len(lines) == 4
+        assert all(math.isfinite(w) for line in lines for w in line["omega_hat"])
+
+    def test_bench_collapses_and_reports_the_method(self, capsys, tmp_path):
+        code, out, err = self.run(capsys, tmp_path, "bench", "1e200")
+        assert code == 0
+        assert "Traceback" not in err
+        rows = list(csv.reader(io.StringIO(out)))
+        assert [row[0] for row in rows] == ["method", "m"]
+        assert rows[1][5] == ""
+
+    def test_predict_overflowing_fused_prediction_exits_3(self, capsys, tmp_path):
+        code, out, err = self.run(capsys, tmp_path, "predict", "1e308")
+        assert code == 3
+        assert "Traceback" not in err
+        assert err.startswith("error: fused prediction overflows") and err.count("\n") == 1
+
+    def test_bench_overflowing_fused_prediction_fails_the_method(self, capsys, tmp_path):
+        code, out, err = self.run(capsys, tmp_path, "bench", "1e308")
+        assert code == 0
+        assert "Traceback" not in err
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[1][0] == "m" and rows[1][5].startswith("fused prediction overflows")
 
 
 class TestUsage:

@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import dense_noisy
 from gptdf import fusion, gp_core
+from gptdf.errors import DataError
 from gptdf.data_io import generate_synthetic
 from gptdf.fusion import (
     EnsembleState,
@@ -295,6 +296,31 @@ class TestGptdfStep:
             warnings.simplefilter("error")
             gptdf_step(state, (30.0, 80.0))
         assert state.weights[1] > 0.5
+
+    def test_overflowing_observation_is_a_collapse(self):
+        # (y - m)^2 / v overflows for every expert: every log density is
+        # -inf, so the update keeps the predictive weights and warns.
+        state = ensemble_from_features([TemporalFeature(1.0, 2.0, 0.3),
+                                        TemporalFeature(0.5, 5.0, 0.2)], tau=10)
+        gptdf_step(state, (0.0, 0.5))
+        omega_hat = state.omega_hat.copy()
+        with np.errstate(all="ignore"), pytest.warns(WeightCollapseWarning):
+            gptdf_step(state, (1.0, 1e200))
+        np.testing.assert_array_equal(state.weights, omega_hat)
+        assert np.isfinite(state.omega_hat).all()
+        # the window now holds 1e200: the next step predicts and collapses again
+        with np.errstate(all="ignore"), pytest.warns(WeightCollapseWarning):
+            fused, _ = gptdf_step(state, (2.0, 0.5))
+        assert math.isfinite(fused.distribution.mean)
+        assert np.isfinite(state.omega_hat).all()
+
+    def test_overflowing_fused_prediction_raises_data_error(self):
+        state = ensemble_from_features([TemporalFeature(1.0, 2.0, 0.3)], tau=10)
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", WeightCollapseWarning)
+            gptdf_step(state, (0.0, 1e308))
+            with pytest.raises(DataError, match="fused prediction overflows"):
+                gptdf_step(state, (1.0, -1e308))
 
     def test_prediction_emitted_at_first_iteration(self):
         # zero warm-up: the record for step 0 exists and carries an interval
