@@ -380,6 +380,15 @@ _CSTEP = 1e-20
 # which a filter on a constant transition counts as settled. The imaginary
 # parts carry the gradient and settle later than the real parts.
 _SETTLED = 1e-14
+# Steps on the trailing run of equal gaps after which a filter that has not
+# settled hands the rest of the run to `_handover_tail`, and the fewest
+# observations left for which that pays: the handover costs about as much as
+# 40 loop steps, and fitted triples settle within 70.
+_HANDOVER_STEPS = 72
+_HANDOVER_MIN_REST = 64
+# Doubling steps allowed for the stationary covariance; each doubles the
+# horizon, so 64 cover any length scale that float gaps can express.
+_DOUBLINGS = 64
 
 
 def _powers(x, k):
@@ -425,7 +434,7 @@ def _transition_rows(u):
     return rows.T
 
 
-def _kalman_terms(y, rows, r):
+def _kalman_terms(y, rows, r, handover=0):
     """Kalman filter of a unit-variance Matern-5/2 state observed with noise
     variance `r`; `rows[k]` is the transition into observation k (see
     `_transition_rows`; the first is `_SDE_START`). Returns
@@ -437,7 +446,9 @@ def _kalman_terms(y, rows, r):
 
     `rows` ends in a run of one row object that appears nowhere before the
     run. On that run the recursion for S and the gains does not depend on y;
-    once they stop changing, `_steady_tail` gives the remaining sums.
+    once they stop changing, `_steady_tail` gives the remaining sums. If
+    they still change after `handover` steps of the run (0: never),
+    `_handover_tail` gives them instead.
     """
     m0 = m1 = m2 = 0.0
     p00 = p01 = p02 = p11 = p12 = p22 = 0.0
@@ -446,6 +457,7 @@ def _kalman_terms(y, rows, r):
     log = cmath.log
     tol = _SETTLED
     steady = rows[-1]
+    budget = handover
     ys = iter(y)
     for yk, row in zip(ys, rows):
         a, b, e, e2, q00, q01, q02, q11, q12, q22 = row
@@ -500,6 +512,16 @@ def _kalman_terms(y, rows, r):
                         quad += tail_quad
                     break
             s0, g0, g1, g2 = s, k0, k1, k2
+            budget -= 1
+            if not budget:
+                fixed = _riccati_fixed_point(row, r)
+                if fixed is not None:
+                    tail_det, tail_quad = _handover_tail(
+                        np.fromiter(ys, float), row, r, fixed, (m0, m1, m2),
+                        (p00, p01, p02, p11, p12, p22))
+                    log_det += tail_det
+                    quad += tail_quad
+                    break
     return log_det, quad
 
 
@@ -542,6 +564,201 @@ def _steady_tail(y, transition, s, gains, mean):
     return n * cmath.log(s), (v @ v) / s
 
 
+def _riccati_fixed_point(row, r):
+    """Upper triangle of the stationary predicted covariance P of the filter
+    under the constant transition `row` (see `_transition_rows`) with noise
+    variance `r`, or None if it has not converged within `_DOUBLINGS` steps.
+
+    P solves P = A P (I + G P)^-1 A' + Q with A = e U and G = h h' / r. The
+    structure-preserving doubling of Chu, Fan & Lin (2005) iterates on the
+    transposed form X = F' X (I + G X)^-1 F + H, F = A', H = Q:
+        F <- F Z F,  G <- G + F Z G F',  H <- H + F' H Z F,  Z = (I + G H)^-1,
+    each step doubling the horizon of H, which tends to P. Scalar complex
+    arithmetic, so that complex steps pass; it stops when every entry of H,
+    real and imaginary parts apart, moves by at most `_SETTLED`.
+    """
+    a, b, e, _, h00, h01, h02, h11, h12, h22 = row
+    f00, f01, f02 = e, 0.0, 0.0
+    f10, f11, f12 = a * e, e, 0.0
+    f20, f21, f22 = b * e, a * e, e
+    g00, g01, g02, g11, g12, g22 = 1.0 / r, 0.0, 0.0, 0.0, 0.0, 0.0
+    tol = _SETTLED
+    for _ in range(_DOUBLINGS):
+        # W = I + G H and its inverse Z, by cofactors
+        w00 = 1.0 + g00 * h00 + g01 * h01 + g02 * h02
+        w01 = g00 * h01 + g01 * h11 + g02 * h12
+        w02 = g00 * h02 + g01 * h12 + g02 * h22
+        w10 = g01 * h00 + g11 * h01 + g12 * h02
+        w11 = 1.0 + g01 * h01 + g11 * h11 + g12 * h12
+        w12 = g01 * h02 + g11 * h12 + g12 * h22
+        w20 = g02 * h00 + g12 * h01 + g22 * h02
+        w21 = g02 * h01 + g12 * h11 + g22 * h12
+        w22 = 1.0 + g02 * h02 + g12 * h12 + g22 * h22
+        c00 = w11 * w22 - w12 * w21
+        c10 = w12 * w20 - w10 * w22
+        c20 = w10 * w21 - w11 * w20
+        d = 1.0 / (w00 * c00 + w01 * c10 + w02 * c20)
+        z00 = c00 * d
+        z01 = (w02 * w21 - w01 * w22) * d
+        z02 = (w01 * w12 - w02 * w11) * d
+        z10 = c10 * d
+        z11 = (w00 * w22 - w02 * w20) * d
+        z12 = (w02 * w10 - w00 * w12) * d
+        z20 = c20 * d
+        z21 = (w01 * w20 - w00 * w21) * d
+        z22 = (w00 * w11 - w01 * w10) * d
+        # Y = Z F
+        y00 = z00 * f00 + z01 * f10 + z02 * f20
+        y01 = z00 * f01 + z01 * f11 + z02 * f21
+        y02 = z00 * f02 + z01 * f12 + z02 * f22
+        y10 = z10 * f00 + z11 * f10 + z12 * f20
+        y11 = z10 * f01 + z11 * f11 + z12 * f21
+        y12 = z10 * f02 + z11 * f12 + z12 * f22
+        y20 = z20 * f00 + z21 * f10 + z22 * f20
+        y21 = z20 * f01 + z21 * f11 + z22 * f21
+        y22 = z20 * f02 + z21 * f12 + z22 * f22
+        # H += F' (H Y), symmetric
+        u00 = h00 * y00 + h01 * y10 + h02 * y20
+        u01 = h00 * y01 + h01 * y11 + h02 * y21
+        u02 = h00 * y02 + h01 * y12 + h02 * y22
+        u10 = h01 * y00 + h11 * y10 + h12 * y20
+        u11 = h01 * y01 + h11 * y11 + h12 * y21
+        u12 = h01 * y02 + h11 * y12 + h12 * y22
+        u20 = h02 * y00 + h12 * y10 + h22 * y20
+        u21 = h02 * y01 + h12 * y11 + h22 * y21
+        u22 = h02 * y02 + h12 * y12 + h22 * y22
+        d00 = f00 * u00 + f10 * u10 + f20 * u20
+        d01 = f00 * u01 + f10 * u11 + f20 * u21
+        d02 = f00 * u02 + f10 * u12 + f20 * u22
+        d11 = f01 * u01 + f11 * u11 + f21 * u21
+        d12 = f01 * u02 + f11 * u12 + f21 * u22
+        d22 = f02 * u02 + f12 * u12 + f22 * u22
+        # G += F (Z G) F', Z G symmetric
+        s00 = z00 * g00 + z01 * g01 + z02 * g02
+        s01 = z00 * g01 + z01 * g11 + z02 * g12
+        s02 = z00 * g02 + z01 * g12 + z02 * g22
+        s11 = z10 * g01 + z11 * g11 + z12 * g12
+        s12 = z10 * g02 + z11 * g12 + z12 * g22
+        s22 = z20 * g02 + z21 * g12 + z22 * g22
+        t00 = f00 * s00 + f01 * s01 + f02 * s02
+        t01 = f00 * s01 + f01 * s11 + f02 * s12
+        t02 = f00 * s02 + f01 * s12 + f02 * s22
+        t10 = f10 * s00 + f11 * s01 + f12 * s02
+        t11 = f10 * s01 + f11 * s11 + f12 * s12
+        t12 = f10 * s02 + f11 * s12 + f12 * s22
+        t20 = f20 * s00 + f21 * s01 + f22 * s02
+        t21 = f20 * s01 + f21 * s11 + f22 * s12
+        t22 = f20 * s02 + f21 * s12 + f22 * s22
+        g00 += t00 * f00 + t01 * f01 + t02 * f02
+        g01 += t00 * f10 + t01 * f11 + t02 * f12
+        g02 += t00 * f20 + t01 * f21 + t02 * f22
+        g11 += t10 * f10 + t11 * f11 + t12 * f12
+        g12 += t10 * f20 + t11 * f21 + t12 * f22
+        g22 += t20 * f20 + t21 * f21 + t22 * f22
+        # F <- F Y
+        f00, f01, f02, f10, f11, f12, f20, f21, f22 = (
+            f00 * y00 + f01 * y10 + f02 * y20, f00 * y01 + f01 * y11 + f02 * y21,
+            f00 * y02 + f01 * y12 + f02 * y22, f10 * y00 + f11 * y10 + f12 * y20,
+            f10 * y01 + f11 * y11 + f12 * y21, f10 * y02 + f11 * y12 + f12 * y22,
+            f20 * y00 + f21 * y10 + f22 * y20, f20 * y01 + f21 * y11 + f22 * y21,
+            f20 * y02 + f21 * y12 + f22 * y22)
+        h00 += d00
+        h01 += d01
+        h02 += d02
+        h11 += d11
+        h12 += d12
+        h22 += d22
+        fixed = (h00, h01, h02, h11, h12, h22)
+        if all(abs(d.real) <= tol * abs(h.real) and abs(d.imag) <= tol * abs(h.imag)
+               for d, h in zip((d00, d01, d02, d11, d12, d22), fixed)):
+            return fixed
+    return None
+
+
+def _handover_tail(y, row, r, fixed, mean, cov):
+    """(sum log S, sum v^2 / S) over the observations `y` that follow a
+    filter that has not settled: posterior mean `mean` and covariance `cov`
+    (upper triangle), constant transition `row`, noise variance `r`, and
+    `fixed` the stationary predicted covariance P (`_riccati_fixed_point`).
+
+    Run the steady filter, S = P00 + r and g = P h / S, from the exact
+    handover mean. With P_k the filter's predicted covariance at the first
+    of these observations and D = P_k - P, its innovations w have covariance
+    S I + H D H', H_t = h' Phi^(t-1) the rows of the closed loop
+    Phi = e U (I - g h'), for any P_k (Solin, Hensman & Turner, NeurIPS
+    2018, made exact for any start state). Its innovations are a unit
+    triangular map of y, so the sums are
+        n log S + log det(I + D H'H / S),
+        (w'w - b' (S I + D H'H)^-1 D b) / S,  b = H'w,
+    3 x 3 algebra once w and H are known. Both come from one banded solve
+    of the steady filter's predicted means mu_{t+1} = Phi mu_t + e U g y_t,
+    unit lower triangular in the 3n interleaved state entries, with the
+    handover mean and the unit states e_j (whose first entries are H) as
+    four right-hand sides. The state form, unlike the AR form of
+    `_steady_tail`, keeps rounding from growing through the near-unit
+    roots of long length scales.
+    """
+    a, b, e, e2, q00, q01, q02, q11, q12, q22 = row
+    p00, p01, p02, p11, p12, p22 = cov
+    m0, m1, m2 = mean
+    x00, x01, x02, x11, x12, x22 = fixed
+    # D = P_k - P, P_k the prediction from the posterior covariance `cov`
+    r01 = p01 + a * p11 + b * p12
+    r02 = p02 + a * p12 + b * p22
+    r12 = p12 + a * p22
+    d00 = e2 * (p00 + a * (p01 + r01) + b * (p02 + r02)) + q00 - x00
+    d01 = e2 * (r01 + a * r02) + q01 - x01
+    d02 = e2 * r02 + q02 - x02
+    d11 = e2 * (p11 + a * (p12 + r12)) + q11 - x11
+    d12 = e2 * r12 + q12 - x12
+    d22 = e2 * p22 + q22 - x22
+    s = x00 + r
+    # U g, and the band of I - Phi: entry (3t + i, 3(t - 1) + j) is -Phi_ij
+    u0 = (x00 + a * x01 + b * x02) / s
+    u1 = (x01 + a * x02) / s
+    u2 = x02 / s
+    n = len(y)
+    band = np.empty((n, 3, 6), dtype=complex)  # Fortran order as (6, 3n)
+    band[:] = ((0.0, 0.0, 0.0, e * (u0 - 1.0), e * u1, e * u2),
+               (0.0, 0.0, -e * a, -e, 0.0, 0.0),
+               (0.0, -e * b, -e * a, -e, 0.0, 0.0))
+    rhs = np.zeros((4, n, 3), dtype=complex)
+    rhs[0, 0] = (e * (m0 + a * m1 + b * m2), e * (m1 + a * m2), e * m2)
+    np.multiply(y[:-1, None], (e * u0, e * u1, e * u2), out=rhs[0, 1:])
+    rhs[1, 0, 0] = rhs[2, 0, 1] = rhs[3, 0, 2] = 1.0
+    x, _ = lapack.ztbtrs(band.reshape(3 * n, 6).T, rhs.reshape(4, 3 * n).T, uplo="L", diag="U")
+    w = x[::3]
+    w[:, 0] = y - w[:, 0]
+    # einsum, not a BLAS product: right after one, the next complex LAPACK
+    # call can run many times slower on some x86 CPUs
+    gram = np.einsum("ti,tj->ij", w, w).tolist()
+    ww, b0, b1, b2 = gram[0]
+    (t00, t01, t02), (_, t11, t12), (_, _, t22) = (g[1:] for g in gram[1:])
+    # M = S I + D H'H, and D b
+    m00 = s + d00 * t00 + d01 * t01 + d02 * t02
+    m01 = d00 * t01 + d01 * t11 + d02 * t12
+    m02 = d00 * t02 + d01 * t12 + d02 * t22
+    m10 = d01 * t00 + d11 * t01 + d12 * t02
+    m11 = s + d01 * t01 + d11 * t11 + d12 * t12
+    m12 = d01 * t02 + d11 * t12 + d12 * t22
+    m20 = d02 * t00 + d12 * t01 + d22 * t02
+    m21 = d02 * t01 + d12 * t11 + d22 * t12
+    m22 = s + d02 * t02 + d12 * t12 + d22 * t22
+    v0 = d00 * b0 + d01 * b1 + d02 * b2
+    v1 = d01 * b0 + d11 * b1 + d12 * b2
+    v2 = d02 * b0 + d12 * b1 + d22 * b2
+    # b' M^-1 D b and det M, by cofactors
+    c00 = m11 * m22 - m12 * m21
+    c01 = m12 * m20 - m10 * m22
+    c02 = m10 * m21 - m11 * m20
+    det = m00 * c00 + m01 * c01 + m02 * c02
+    correction = (b0 * (c00 * v0 + (m02 * m21 - m01 * m22) * v1 + (m01 * m12 - m02 * m11) * v2)
+                  + b1 * (c01 * v0 + (m00 * m22 - m02 * m20) * v1 + (m02 * m10 - m00 * m12) * v2)
+                  + b2 * (c02 * v0 + (m01 * m20 - m00 * m21) * v1 + (m00 * m11 - m01 * m10) * v2)
+                  ) / det
+    return (n - 3) * cmath.log(s) + cmath.log(det), (ww - correction) / s
+
+
 def _matern_nll_and_grad(log_params, t, y):
     """Negative log marginal likelihood of a zero-mean Matern-5/2 model and
     its gradient w.r.t. (log sigma_f, log sigma_l, log sigma_n), in O(n).
@@ -569,6 +786,7 @@ def _matern_nll_and_grad(log_params, t, y):
     index = [slots.setdefault(d, len(slots)) for d in diffs[:split].tolist()]
     gaps = np.array(list(slots) + diffs[-1:].tolist())
     run = n - 1 - split
+    handover = _HANDOVER_STEPS if run >= _HANDOVER_STEPS + _HANDOVER_MIN_REST else 0
     sf2 = math.exp(2.0 * log_sf)
     z = (y / math.exp(log_sf)).tolist()
 
@@ -576,7 +794,8 @@ def _matern_nll_and_grad(log_params, t, y):
         unique = transitions.tolist()
         sn2 = cmath.exp(2.0 * log_sn)
         rows = [_SDE_START] + [unique[i] for i in index] + unique[-1:] * run
-        log_det, quad = _kalman_terms(z, rows, (sn2 + JITTER_INITIAL * (sf2 + sn2)) / sf2)
+        log_det, quad = _kalman_terms(z, rows, (sn2 + JITTER_INITIAL * (sf2 + sn2)) / sf2,
+                                       handover)
         return 0.5 * (log_det + quad), quad.real
 
     step = 1j * _CSTEP

@@ -299,8 +299,9 @@ def dense_nll(x, t, y):
 
 def reference_nll(x, t, y):
     """The same likelihood, first-attempt jitter included, with the Cholesky
-    factor worked in 40 digits."""
-    mp = pytest.importorskip("mpmath")
+    factor worked in 40 digits. mpmath comes with the test extra."""
+    import mpmath as mp
+
     with mp.workdps(40):
         sf, sl, sn = (mp.mpf(float(v)) for v in np.exp(x))
         n = len(t)
@@ -341,6 +342,49 @@ def tail_calls(monkeypatch):
 
     monkeypatch.setattr(gp_core, "_steady_tail", spy)
     return calls
+
+
+@pytest.fixture
+def handover_calls(monkeypatch):
+    """Records each handover to the steady-state filter: the number of
+    observations it covers and the stationary covariance it was handed."""
+    calls = []
+    handover_tail = gp_core._handover_tail
+
+    def spy(y, row, r, fixed, mean, cov):
+        calls.append(SimpleNamespace(n=len(y), fixed=fixed))
+        return handover_tail(y, row, r, fixed, mean, cov)
+
+    monkeypatch.setattr(gp_core, "_handover_tail", spy)
+    return calls
+
+
+def one_ulp_apart(t):
+    """The grid `t` with its last timestamp moved up by one ulp: the last gap
+    gets a transition of its own, so the filter runs its loop to the end."""
+    t_full = t.copy()
+    t_full[-1] = np.nextafter(t_full[-1], np.inf)
+    return t_full
+
+
+def riccati_by_iteration(sigma_l, r, steps=3000):
+    """Predicted covariance of the sigma_l complex-step pass on a unit grid
+    after `steps` steps of the covariance recursion from the transition's Q."""
+    u = gp_core.SQRT5 * np.exp(-(math.log(sigma_l) + 1j * gp_core._CSTEP))
+    a, b, e, _, *q = gp_core._transition_rows(np.array([u]))[0]
+    A = e * np.array([[1.0, a, b], [0.0, 1.0, a], [0.0, 0.0, 1.0]])
+    Q = np.zeros((3, 3), dtype=complex)
+    Q[np.triu_indices(3)] = q
+    Q += np.triu(Q, 1).T
+    P = Q.copy()
+    for _ in range(steps):
+        P = A @ (P - np.outer(P[:, 0], P[0]) / (P[0, 0] + r)) @ A.T + Q
+    return P
+
+
+# (sigma_l, sigma_n) on a unit grid whose filter has not settled after
+# `_HANDOVER_STEPS` steps of the run: the handover takes the rest
+UNSETTLED = list(itertools.product([30.0, 100.0, 1e3], [0.1, 0.5]))
 
 
 class TestStateSpaceLikelihood:
@@ -537,6 +581,70 @@ class TestStateSpaceLikelihood:
         y[350] = math.nan
         with pytest.raises(NumericalError, match="non-finite"):
             _matern_nll_and_grad(np.log(FITTED_LIKE[0]), t, y)
+
+    @pytest.mark.parametrize("n", [100, 400, 2000])
+    def test_handover_equals_the_full_filter(self, rng, n, handover_calls):
+        t = np.arange(n, dtype=float)
+        t_full = one_ulp_apart(t)
+        for sl, sn in UNSETTLED:
+            x = np.log([1.0, sl, sn])
+            y = rng.normal(size=n)
+            nll, grad = _matern_nll_and_grad(x, t, y)
+            ref_nll, ref_grad = _matern_nll_and_grad(x, t_full, y)
+            assert abs(nll - ref_nll) <= 1e-11 * n, (sl, sn)
+            np.testing.assert_allclose(grad, ref_grad, rtol=1e-9, atol=1e-9)
+        # n = 100 leaves too few observations after the handover point to pay
+        assert bool(handover_calls) == (n > 100)
+
+    def test_handover_matches_dense(self, rng, handover_calls):
+        n = 400
+        t = np.arange(n, dtype=float)
+        for sf, sl, sn in [(0.9, 100.0, 0.44), (1.5, 100.0, 0.1)]:
+            x = np.log([sf, sl, sn])
+            y = sample_prior(GPModel(Matern52(sf, sl), noise_std=sn), t, rng)
+            nll, _ = _matern_nll_and_grad(x, t, y)
+            assert abs(nll - dense_nll(x, t, y)) <= 1e-8 * n, (sf, sl, sn)
+        assert len(handover_calls) == 4
+
+    def test_handover_bounds_the_loop(self, rng, handover_calls):
+        # the first observation takes the start row, then at most
+        # _HANDOVER_STEPS steps of the run before each gradient pass hands over
+        n = 400
+        _matern_nll_and_grad(np.log([1.0, 100.0, 0.3]), np.arange(n, dtype=float),
+                             rng.normal(size=n))
+        assert len(handover_calls) == 2
+        assert all(n - call.n <= 1 + gp_core._HANDOVER_STEPS for call in handover_calls)
+
+    def test_stationary_covariance_matches_the_riccati_iteration(self):
+        sl, sn = 100.0, 0.3
+        r = sn ** 2 + gp_core.JITTER_INITIAL * (1.0 + sn ** 2)
+        u = gp_core.SQRT5 * np.exp(-(math.log(sl) + 1j * gp_core._CSTEP))
+        row = gp_core._transition_rows(np.array([u]))[0].tolist()
+        got = np.array(gp_core._riccati_fixed_point(row, r))
+        expected = riccati_by_iteration(sl, r)[np.triu_indices(3)]
+        np.testing.assert_allclose(got.real, expected.real, rtol=1e-13)
+        np.testing.assert_allclose(got.imag, expected.imag, rtol=1e-13)
+
+    def test_non_finite_value_after_the_handover_raises(self, rng, handover_calls):
+        t = np.arange(400.0)
+        y = rng.normal(size=400)
+        y[350] = math.nan
+        with pytest.raises(NumericalError, match="non-finite"):
+            _matern_nll_and_grad(np.log([1.0, 100.0, 0.3]), t, y)
+        assert handover_calls
+
+    @pytest.mark.parametrize("sigma_l", [40.0, 120.0])
+    def test_fit_matches_the_full_filter(self, sigma_l, handover_calls):
+        from gptdf.data_io import generate_synthetic
+
+        series = generate_synthetic(TemporalFeature(1.0, sigma_l, 0.3), 400, 11)
+        config = FitConfig(restarts=2, seed=3)
+        got = fit_hyperparameters(series, config)
+        assert handover_calls
+        ref = fit_hyperparameters(TimeSeries(one_ulp_apart(series.timestamps), series.values),
+                                  config)
+        for key, value in ref.as_dict().items():
+            assert getattr(got, key) == pytest.approx(value, rel=1e-8), key
 
 
 class TestFitHyperparameters:
