@@ -12,6 +12,7 @@ multi-start L-BFGS-B in log-parameter space.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass, fields
@@ -567,15 +568,101 @@ def _steady_tail(y, transition, s, gains, mean):
 def _riccati_fixed_point(row, r):
     """Upper triangle of the stationary predicted covariance P of the filter
     under the constant transition `row` (see `_transition_rows`) with noise
-    variance `r`, or None if it has not converged within `_DOUBLINGS` steps.
+    variance `r`, complex like them, or None if a doubling has not converged
+    within `_DOUBLINGS` steps.
+
+    The real part is `_real_fixed_point` of the real parts. The imaginary
+    parts of a complex step are first order, so one Newton (Hewer) step on
+    the complex data makes them exact: with the gain g of the real P, the
+    closed loop Phi = e U (I - g h') and w = e U g, P is the fixed point of
+    X -> Phi X Phi' + r w w' + Q, whose imaginary part is the fixed point of
+    Y -> Re(Phi) Y Re(Phi)' + E, E = Im(Phi P Phi' + r w w' + Q). That sum is
+    taken by Smith's doubling in real arithmetic: Y <- Y + F Y F', F <- F F,
+    until every entry of Y moves by at most `_SETTLED`.
+    """
+    a, b, e, _, q00, q01, q02, q11, q12, q22 = row
+    fixed = _real_fixed_point(tuple(x.real for x in row), r.real)
+    if fixed is None:
+        return None
+    x00, x01, x02, x11, x12, x22 = fixed
+    s = x00 + r
+    u0 = (x00 + a * x01 + b * x02) / s
+    u1 = (x01 + a * x02) / s
+    u2 = x02 / s
+    f00, f01, f02 = e * (1.0 - u0), e * a, e * b
+    f10, f11, f12 = -e * u1, e, e * a
+    f20, f22 = -e * u2, e
+    w0, w1, w2 = e * u0, e * u1, e * u2
+    # Phi P, then the upper triangle of E
+    v00 = f00 * x00 + f01 * x01 + f02 * x02
+    v01 = f00 * x01 + f01 * x11 + f02 * x12
+    v02 = f00 * x02 + f01 * x12 + f02 * x22
+    v10 = f10 * x00 + f11 * x01 + f12 * x02
+    v11 = f10 * x01 + f11 * x11 + f12 * x12
+    v12 = f10 * x02 + f11 * x12 + f12 * x22
+    v20 = f20 * x00 + f22 * x02
+    v21 = f20 * x01 + f22 * x12
+    v22 = f20 * x02 + f22 * x22
+    y00 = (v00 * f00 + v01 * f01 + v02 * f02 + r * w0 * w0 + q00).imag
+    y01 = (v00 * f10 + v01 * f11 + v02 * f12 + r * w0 * w1 + q01).imag
+    y02 = (v00 * f20 + v02 * f22 + r * w0 * w2 + q02).imag
+    y11 = (v10 * f10 + v11 * f11 + v12 * f12 + r * w1 * w1 + q11).imag
+    y12 = (v10 * f20 + v12 * f22 + r * w1 * w2 + q12).imag
+    y22 = (v20 * f20 + v22 * f22 + r * w2 * w2 + q22).imag
+    f00, f01, f02, f10, f11, f12, f20, f22 = (
+        f00.real, f01.real, f02.real, f10.real, f11.real, f12.real, f20.real, f22.real)
+    f21 = 0.0
+    tol = _SETTLED
+    for _ in range(_DOUBLINGS):
+        v00 = f00 * y00 + f01 * y01 + f02 * y02
+        v01 = f00 * y01 + f01 * y11 + f02 * y12
+        v02 = f00 * y02 + f01 * y12 + f02 * y22
+        v10 = f10 * y00 + f11 * y01 + f12 * y02
+        v11 = f10 * y01 + f11 * y11 + f12 * y12
+        v12 = f10 * y02 + f11 * y12 + f12 * y22
+        v20 = f20 * y00 + f21 * y01 + f22 * y02
+        v21 = f20 * y01 + f21 * y11 + f22 * y12
+        v22 = f20 * y02 + f21 * y12 + f22 * y22
+        d00 = v00 * f00 + v01 * f01 + v02 * f02
+        d01 = v00 * f10 + v01 * f11 + v02 * f12
+        d02 = v00 * f20 + v01 * f21 + v02 * f22
+        d11 = v10 * f10 + v11 * f11 + v12 * f12
+        d12 = v10 * f20 + v11 * f21 + v12 * f22
+        d22 = v20 * f20 + v21 * f21 + v22 * f22
+        y00 += d00
+        y01 += d01
+        y02 += d02
+        y11 += d11
+        y12 += d12
+        y22 += d22
+        if (abs(d00) <= tol * abs(y00) and abs(d01) <= tol * abs(y01)
+                and abs(d02) <= tol * abs(y02) and abs(d11) <= tol * abs(y11)
+                and abs(d12) <= tol * abs(y12) and abs(d22) <= tol * abs(y22)):
+            return (complex(x00, y00), complex(x01, y01), complex(x02, y02),
+                    complex(x11, y11), complex(x12, y12), complex(x22, y22))
+        f00, f01, f02, f10, f11, f12, f20, f21, f22 = (
+            f00 * f00 + f01 * f10 + f02 * f20, f00 * f01 + f01 * f11 + f02 * f21,
+            f00 * f02 + f01 * f12 + f02 * f22, f10 * f00 + f11 * f10 + f12 * f20,
+            f10 * f01 + f11 * f11 + f12 * f21, f10 * f02 + f11 * f12 + f12 * f22,
+            f20 * f00 + f21 * f10 + f22 * f20, f20 * f01 + f21 * f11 + f22 * f21,
+            f20 * f02 + f21 * f12 + f22 * f22)
+    return None
+
+
+@functools.lru_cache(maxsize=1)
+def _real_fixed_point(row, r):
+    """Upper triangle of the stationary predicted covariance P of the filter
+    under the real transition `row` (a tuple) with real noise variance `r`,
+    or None if it has not converged within `_DOUBLINGS` steps. The two
+    gradient passes of one evaluation share their real parts, so the second
+    finds the first's result in the cache.
 
     P solves P = A P (I + G P)^-1 A' + Q with A = e U and G = h h' / r. The
     structure-preserving doubling of Chu, Fan & Lin (2005) iterates on the
     transposed form X = F' X (I + G X)^-1 F + H, F = A', H = Q:
         F <- F Z F,  G <- G + F Z G F',  H <- H + F' H Z F,  Z = (I + G H)^-1,
-    each step doubling the horizon of H, which tends to P. Scalar complex
-    arithmetic, so that complex steps pass; it stops when every entry of H,
-    real and imaginary parts apart, moves by at most `_SETTLED`.
+    each step doubling the horizon of H, which tends to P. It stops when
+    every entry of H moves by at most `_SETTLED`.
     """
     a, b, e, _, h00, h01, h02, h11, h12, h22 = row
     f00, f01, f02 = e, 0.0, 0.0
@@ -668,10 +755,10 @@ def _riccati_fixed_point(row, r):
         h11 += d11
         h12 += d12
         h22 += d22
-        fixed = (h00, h01, h02, h11, h12, h22)
-        if all(abs(d.real) <= tol * abs(h.real) and abs(d.imag) <= tol * abs(h.imag)
-               for d, h in zip((d00, d01, d02, d11, d12, d22), fixed)):
-            return fixed
+        if (abs(d00) <= tol * abs(h00) and abs(d01) <= tol * abs(h01)
+                and abs(d02) <= tol * abs(h02) and abs(d11) <= tol * abs(h11)
+                and abs(d12) <= tol * abs(h12) and abs(d22) <= tol * abs(h22)):
+            return h00, h01, h02, h11, h12, h22
     return None
 
 
