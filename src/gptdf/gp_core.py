@@ -383,11 +383,17 @@ _CSTEP = 1e-20
 _SETTLED = 1e-14
 # Steps on the trailing run of equal gaps after which a filter that has not
 # settled hands the rest of the run to `_handover_tail`, and the fewest
-# observations left for which that pays: the handover costs about as much as
-# 50 loop steps, fit time is flat within noise for 32 to 128 steps, and
-# fitted triples settle within 70.
+# observations left for which that pays. A handover costs about as much as
+# 50 loop steps a pass, and a whole evaluation that hands over after the
+# first step costs about as much as one that settles within 30. So a run
+# whose scaled gap u = sqrt(5) gap / sigma_l is below `_LONG_SCALE_U` (a
+# length scale over 11 gaps, which takes more than 50 steps to settle)
+# hands over after its first step; any other hands over after 72 steps if
+# it has not settled, which keeps fitted triples (settled within 70 steps)
+# on the steady tail.
 _HANDOVER_STEPS = 72
 _HANDOVER_MIN_REST = 64
+_LONG_SCALE_U = 0.2
 # Doubling steps allowed for the stationary covariance; each doubles the
 # horizon, so 64 cover any length scale that float gaps can express.
 _DOUBLINGS = 64
@@ -874,7 +880,11 @@ def _matern_nll_and_grad(log_params, t, y):
     index = [slots.setdefault(d, len(slots)) for d in diffs[:split].tolist()]
     gaps = np.array(list(slots) + diffs[-1:].tolist())
     run = n - 1 - split
-    handover = _HANDOVER_STEPS if run >= _HANDOVER_STEPS + _HANDOVER_MIN_REST else 0
+    handover = 0
+    if run:
+        handover = 1 if SQRT5 * diffs[-1] < _LONG_SCALE_U * math.exp(log_sl) else _HANDOVER_STEPS
+        if run < handover + _HANDOVER_MIN_REST:
+            handover = 0
     sf2 = math.exp(2.0 * log_sf)
     z = (y / math.exp(log_sf)).tolist()
 

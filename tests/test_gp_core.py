@@ -382,8 +382,8 @@ def riccati_by_iteration(sigma_l, r, steps=3000):
     return P
 
 
-# (sigma_l, sigma_n) on a unit grid whose filter has not settled after
-# `_HANDOVER_STEPS` steps of the run: the handover takes the rest
+# (sigma_l, sigma_n) on a unit grid whose filter would settle late or
+# never: the handover takes the rest of the run
 UNSETTLED = list(itertools.product([30.0, 100.0, 1e3], [0.1, 0.5]))
 
 
@@ -593,8 +593,7 @@ class TestStateSpaceLikelihood:
             ref_nll, ref_grad = _matern_nll_and_grad(x, t_full, y)
             assert abs(nll - ref_nll) <= 1e-11 * n, (sl, sn)
             np.testing.assert_allclose(grad, ref_grad, rtol=1e-9, atol=1e-9)
-        # n = 100 leaves too few observations after the handover point to pay
-        assert bool(handover_calls) == (n > 100)
+        assert len(handover_calls) == 2 * len(UNSETTLED)
 
     def test_handover_matches_dense(self, rng, handover_calls):
         n = 400
@@ -606,14 +605,16 @@ class TestStateSpaceLikelihood:
             assert abs(nll - dense_nll(x, t, y)) <= 1e-8 * n, (sf, sl, sn)
         assert len(handover_calls) == 4
 
-    def test_handover_bounds_the_loop(self, rng, handover_calls):
-        # the first observation takes the start row, then at most
-        # _HANDOVER_STEPS steps of the run before each gradient pass hands over
+    @pytest.mark.parametrize("triple, run_steps", [
+        ((1.0, 100.0, 0.3), 1),  # a length scale over 11 gaps: after the first step
+        ((1.0, 11.0, 1.0), gp_core._HANDOVER_STEPS),  # unsettled after 72 steps
+    ])
+    def test_handover_bounds_the_loop(self, rng, handover_calls, triple, run_steps):
+        # the first observation takes the start row, then each gradient pass
+        # runs `run_steps` steps of the run before it hands over
         n = 400
-        _matern_nll_and_grad(np.log([1.0, 100.0, 0.3]), np.arange(n, dtype=float),
-                             rng.normal(size=n))
-        assert len(handover_calls) == 2
-        assert all(n - call.n <= 1 + gp_core._HANDOVER_STEPS for call in handover_calls)
+        _matern_nll_and_grad(np.log(triple), np.arange(n, dtype=float), rng.normal(size=n))
+        assert [n - call.n for call in handover_calls] == [1 + run_steps] * 2
 
     def test_stationary_covariance_matches_the_riccati_iteration(self):
         sl, sn = 100.0, 0.3
