@@ -199,7 +199,14 @@ def bench(ctx, config_path, out_dir):
     """Run a benchmark config; print the comparison table as CSV."""
     config = _load_config(config_path, lambda raw: evaluation.BenchmarkConfig.from_dict(
         raw, fallback_seed=ctx.obj["seed"]))
-    if out_dir is not None:  # an unusable directory fails before any method runs
+    if out_dir is not None:  # an unusable directory or file name fails before any method runs
+        owners = {}  # series file name -> the method that writes it
+        for method in config.methods:
+            name = evaluation.series_file_name(method.name)
+            if name in owners:
+                raise ConfigError(f"{config_path}: methods {owners[name]!r} and "
+                                  f"{method.name!r} would both write {name}")
+            owners[name] = method.name
         pathlib.Path(out_dir).mkdir(parents=True, exist_ok=True)
     report = evaluation.run_benchmark(config)
     if out_dir is not None:

@@ -40,12 +40,18 @@ def load_csv(path, column=0, time_column=None):
 
     Without a time column, timestamps are consecutive integers 0..n-1. Rows
     whose selected cells do not parse as finite numbers abort the load with
-    their 1-based line numbers. Header rows are detected automatically for
-    integer column selectors and required for name selectors.
+    the 1-based line each starts on. Header rows are detected automatically
+    for integer column selectors and required for name selectors.
     """
+    rows = []  # (line the row starts on, row), blank rows left out
     try:  # fspath: open() would take an int as a file descriptor
         with open(os.fspath(path), encoding="utf-8", newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row]
+            reader = csv.reader(fh)
+            line_no = 1
+            for row in reader:
+                if row:
+                    rows.append((line_no, row))
+                line_no = reader.line_num + 1  # a quoted cell may span lines
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"{path} is not readable as UTF-8 CSV: {exc}") from exc
 
@@ -55,7 +61,7 @@ def load_csv(path, column=0, time_column=None):
 
     header_lines = 0
     if names_used:
-        header = [cell.strip() for cell in rows[0]]
+        header = [cell.strip() for cell in rows[0][1]]
         header_lines = 1
 
         def resolve(sel):
@@ -70,18 +76,17 @@ def load_csv(path, column=0, time_column=None):
     else:
         col_idx = int(column)
         time_idx = int(time_column) if time_column is not None else None
-        probe = rows[0][col_idx] if -len(rows[0]) <= col_idx < len(rows[0]) else ""
+        first = rows[0][1]
+        probe = first[col_idx] if -len(first) <= col_idx < len(first) else ""
         try:
             float(probe)
         except ValueError:
             header_lines = 1  # first row is not numeric: treat as header
 
-    data_rows = rows[header_lines:]
     values = []
     times = []
     bad_rows = []
-    for offset, row in enumerate(data_rows):
-        line_no = header_lines + offset + 1
+    for line_no, row in rows[header_lines:]:
         try:
             v = _parse_float(row[col_idx])
         except IndexError:  # past either end of the row
@@ -134,12 +139,9 @@ def normalize(data):
 
 @dataclass(frozen=True)
 class PreparedStream:
-    """A stream transformed for online consumption, with the per-step offset
-    and scale it was transformed by: series = (raw - offsets) / scales."""
+    """A stream transformed for online consumption."""
 
     series: TimeSeries
-    offsets: np.ndarray
-    scales: np.ndarray
 
 
 def prepare_stream(data, mode="online"):
@@ -157,32 +159,25 @@ def prepare_stream(data, mode="online"):
     if mode not in NORMALIZATION_MODES:
         raise ConfigError(f"unknown normalization mode {mode!r}")
     if mode == "none":
-        n = len(data)
-        return PreparedStream(data, np.zeros(n), np.ones(n))
+        return PreparedStream(data)
     if mode == "offline":
-        series, (mean, std) = normalize(data)
-        n = len(data)
-        return PreparedStream(series, np.full(n, mean), np.full(n, std))
+        return PreparedStream(normalize(data)[0])
 
-    y = data.values
-    n = len(data)
-    offsets = np.zeros(n)
-    scales = np.ones(n)
-    # Welford recursion over the prefix strictly before each step
-    count, mean, m2 = 0, 0.0, 0.0
-    for k, x in enumerate(y.tolist()):
-        if count >= 1:
-            offsets[k] = mean
+    normalized = []
+    # Welford recursion over the prefix strictly before each step; the first
+    # step is centered at 0 and the first two are scaled by 1
+    count, mean, m2, scale = 0, 0.0, 0.0, 1.0
+    for k, x in enumerate(data.values.tolist()):
         if count >= 2:
-            scales[k] = math.sqrt((m2 + 2.0) / (count + 1))
+            scale = math.sqrt((m2 + 2.0) / (count + 1))
+        normalized.append((x - mean) / scale)
         count += 1
         delta = x - mean
         mean += delta / count
         m2 += delta * (x - mean)
         if not 0.0 <= m2 < math.inf:  # false once the mean or m2 overflows
             raise DataError(f"values too large to normalize: running scale overflows at step {k}")
-    series = TimeSeries(data.timestamps, (y - offsets) / scales)
-    return PreparedStream(series, offsets, scales)
+    return PreparedStream(TimeSeries(data.timestamps, normalized))
 
 
 def generate_synthetic(feature, n, seed):

@@ -21,7 +21,6 @@ import sys
 import threading
 import time
 import traceback
-import warnings
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -156,61 +155,13 @@ def decode_message(line):
 
 
 class CloudRegistry:
-    """Append-only feature store. Reports are idempotent per
-    (source_id, fitted_at); queries see a consistent snapshot. Optionally
-    persists one JSON record per line so later runs can resume.
+    """Append-only, in-memory feature store. Reports are idempotent per
+    (source_id, fitted_at); queries see a consistent snapshot."""
 
-    On reopening, a final line cut off mid-write (bytes after the last
-    newline that do not parse) is dropped with a RuntimeWarning and
-    truncated from the file, so the next append starts on a fresh line. A
-    malformed complete line raises DataError naming its line number.
-    """
-
-    def __init__(self, path=None):
+    def __init__(self):
         self._lock = threading.Lock()
         self._records = []
         self._lines = {}  # record key -> its query-response line
-        self._path = path
-        if path is not None:
-            self._replay(path)
-
-    def _replay(self, path):
-        try:
-            with open(path, "rb") as fh:
-                data = fh.read()
-        except FileNotFoundError:
-            return
-        end = data.rfind(b"\n") + 1
-        lines = data[:end].split(b"\n")[:-1]
-        tail = data[end:]
-        if tail.strip():
-            try:
-                json.loads(tail)
-            except MALFORMED:
-                with open(path, "r+b") as fh:
-                    fh.truncate(end)
-                warnings.warn(f"{path}: dropped a torn final line of {len(tail)} bytes",
-                              RuntimeWarning)
-            else:
-                with open(path, "ab") as fh:
-                    fh.write(b"\n")
-                lines.append(tail)
-        for number, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = FeatureRecord.from_message(json.loads(line))
-            except MALFORMED as exc:
-                raise DataError(f"{path}: line {number} is not a feature record: {exc}") from exc
-            self._ingest(record)
-
-    def _ingest(self, record):
-        if record.key in self._lines:
-            return False
-        # records are frozen, so each one's reply line is encoded once
-        self._lines[record.key] = encode_message({**record.to_message(), "type": "response"})
-        self._records.append(record)
-        return True
 
     def report(self, record):
         try:
@@ -219,10 +170,12 @@ class CloudRegistry:
         except MALFORMED as exc:
             return Ack(False, f"invalid feature record: {exc}")
         with self._lock:
-            fresh = self._ingest(record)
-            if fresh and self._path is not None:
-                with open(self._path, "a", encoding="utf-8") as fh:
-                    fh.write(encode_message(record.to_message()) + "\n")
+            fresh = record.key not in self._lines
+            if fresh:
+                # records are frozen, so each one's reply line is encoded once
+                self._lines[record.key] = encode_message({**record.to_message(),
+                                                          "type": "response"})
+                self._records.append(record)
         return Ack(True, "" if fresh else "duplicate")
 
     def query(self, query):
@@ -233,10 +186,6 @@ class CloudRegistry:
         if query.limit is not None:
             matches = matches[: int(query.limit)]
         return FeatureResponse(tuple(matches))
-
-    def snapshot(self):
-        with self._lock:
-            return tuple(self._records)
 
     def response_line(self, record):
         """The wire line that answers a query with this stored record."""

@@ -27,6 +27,7 @@ __all__ = [
     "BenchmarkConfig",
     "BenchmarkRow",
     "BenchmarkReport",
+    "series_file_name",
     "run_benchmark",
     "REPORT_COLUMNS",
     "SERIES_COLUMNS",
@@ -183,6 +184,13 @@ class BenchmarkRow:
 REPORT_COLUMNS = tuple(f.name for f in fields(BenchmarkRow))
 
 
+def series_file_name(method_name):
+    """The file a method's per-step series CSV is written to; characters
+    other than letters, digits, '-' and '_' become '_'."""
+    safe = "".join(c if c.isalnum() or c in "-_" else "_" for c in method_name)
+    return f"series_{safe}.csv"
+
+
 @dataclass(frozen=True)
 class BenchmarkReport:
     rows: tuple
@@ -204,8 +212,7 @@ class BenchmarkReport:
         out_dir.mkdir(parents=True, exist_ok=True)
         written = []
         for name in sorted(self.series):
-            safe = "".join(c if c.isalnum() or c in "-_" else "_" for c in name)
-            path = out_dir / f"series_{safe}.csv"
+            path = out_dir / series_file_name(name)
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 writer = csv.DictWriter(fh, SERIES_COLUMNS)
                 writer.writeheader()

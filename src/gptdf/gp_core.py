@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -67,11 +68,17 @@ class FitWarning(UserWarning):
     starting points and the best initialization is returned instead."""
 
 
+# The kernel and the likelihood square every scale. A scale's square is a
+# positive normal float exactly when the scale lies in this range.
+_MIN_SCALE = math.sqrt(sys.float_info.min)  # 2**-511, whose square is exact
+_MAX_SCALE = math.sqrt(sys.float_info.max)
+
+
 def _check_scale(name, value, allow_zero=False):
     v = float(value)
-    if not math.isfinite(v) or (v <= 0.0 and not allow_zero) or v < 0.0:
-        raise ValueError(f"{name} must be {'nonnegative' if allow_zero else 'positive'} "
-                         f"and finite, got {value!r}")
+    if not (_MIN_SCALE <= v <= _MAX_SCALE or allow_zero and v == 0.0):
+        raise ValueError(f"{name} must be {'zero or ' if allow_zero else ''}positive, "
+                         f"its square a positive normal float, got {value!r}")
     return v
 
 
@@ -320,7 +327,7 @@ class FitConfig:
         for name in ("sigma_f_bounds", "sigma_l_bounds", "sigma_n_bounds"):
             lo, hi = (float(x) for x in getattr(self, name))
             # the objective squares each parameter: a square must not underflow or overflow
-            if not (0.0 < lo < hi and lo * lo >= np.finfo(float).tiny and hi * hi < math.inf):
+            if not _MIN_SCALE <= lo < hi <= _MAX_SCALE:
                 raise ValueError(f"{name} must satisfy 0 < low < high with both squares "
                                  f"positive normal floats, got ({lo}, {hi})")
             object.__setattr__(self, name, (lo, hi))

@@ -109,6 +109,17 @@ class TestGenerate:
         assert "--length" in err
         assert not out.exists()
 
+    # the squares of the first two overflow and underflow in the kernel
+    @pytest.mark.parametrize("flag, value", [("--sigma-f", "1e200"), ("--sigma-l", "1e-320"),
+                                             ("--sigma-n", "1e-200")])
+    def test_scale_whose_square_is_not_normal_exits_2(self, capsys, flag, value):
+        scales = {"--sigma-f": "1.0", "--sigma-l": "2.0", flag: value}
+        code, out, err = run_cli(capsys, "generate", *(x for kv in scales.items() for x in kv),
+                                 "-n", "5")
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert out == ""
+
     def test_bad_parameters_exit_2(self, capsys):
         for args in (["generate", "--sigma-f", "-1.0", "--sigma-l", "1.0", "-n", "5"],
                      ["generate", "--sigma-f", "1.0", "--sigma-l", "1.0", "-n", "0"],
@@ -296,6 +307,20 @@ class TestBench:
         code, out, err = run_cli(capsys, "bench", str(config_path))
         assert code == 2
 
+    def test_methods_sharing_a_series_file_exit_2_before_running(self, capsys, monkeypatch,
+                                                                  tmp_path):
+        methods = [{"name": name, "kind": "fusion", "features": SHORT_SCALE_FEATURES[:1]}
+                   for name in ("GP/I", "GP_I")]
+        config_path = tmp_path / "bench.json"
+        config_path.write_text(json.dumps(self.bench_config(methods)))
+        monkeypatch.setattr(evaluation, "run_benchmark", lambda *a: pytest.fail("a method ran"))
+        code, out, err = run_cli(capsys, "bench", str(config_path),
+                                 "--out-dir", str(tmp_path / "series"))
+        assert code == 2
+        assert err.count("\n") == 1
+        assert "'GP/I'" in err and "'GP_I'" in err and "series_GP_I.csv" in err
+        assert not (tmp_path / "series").exists()
+
     def test_series_output(self, capsys, tmp_path):
         methods = [{"name": "m", "kind": "fusion", "features": SHORT_SCALE_FEATURES[:1]}]
         config_path = tmp_path / "bench.json"
@@ -470,6 +495,15 @@ MALFORMED_SETTINGS = {
         [{"sigma_f": 1.0, "sigma_l": 2.0, "sigma_n": 0.1, "sigmaf": 9}])),
     "predict-feature-boolean": ("predict", json.dumps(
         [{"sigma_f": True, "sigma_l": 2.0, "sigma_n": 0.1}])),
+    # scales whose squares overflow or underflow in the kernel
+    "predict-feature-square-overflows": ("predict", json.dumps(
+        [{"sigma_f": 1e200, "sigma_l": 2.0, "sigma_n": 0.1}])),
+    "scenario-target-square-overflows": ("simulate", json.dumps(
+        {**scenario_dict(), "target": {"synthetic": {
+            **scenario_dict()["target"]["synthetic"], "sigma_f": 1e200}}})),
+    "bench-stream-square-underflows": ("bench", json.dumps(
+        {**BENCH, "stream": {"synthetic": {**BENCH["stream"]["synthetic"],
+                                           "sigma_l": 1e-320}}})),
 }
 
 

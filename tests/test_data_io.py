@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -42,10 +43,21 @@ class TestLoadCsv:
         np.testing.assert_array_equal(series.timestamps, [0.0, 1.0, 2.0])
         np.testing.assert_array_equal(series.values, [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("text, rows", [
+        ("y\n1\n\n\n2\nabc\n3\n", "[6]"),  # blank lines count
+        ('y\n1\n"a\nb"\nxyz\n2\n', "[3, 5]"),  # a quoted cell spans lines 3-4
+        ("y\r\n1\r\n\r\nabc\r\n", "[4]"),
+    ])
+    def test_bad_row_named_by_the_line_it_starts_on(self, tmp_path, text, rows):
+        path = tmp_path / "series.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(DataError, match=re.escape(f"rows {rows}")):
+            load_csv(path, column="y")
+
     def test_blank_value_row_reported(self, tmp_path):
         p = tmp_path / "v.csv"
         p.write_text("1\n\n2\n,\n3\n")
-        with pytest.raises(DataError, match=r"rows \[3\]"):
+        with pytest.raises(DataError, match=r"rows \[4\]"):  # the blank line 2 counts
             load_csv(p)
 
     def test_header_only_file(self, tmp_path):
@@ -188,29 +200,36 @@ class TestPrepareStream:
         prepared = prepare_stream(raw, "offline")
         expected, (mean, std) = normalize(raw)
         np.testing.assert_allclose(prepared.series.values, expected.values)
-        np.testing.assert_allclose(prepared.offsets, mean)
-        np.testing.assert_allclose(prepared.scales, std)
+        np.testing.assert_allclose(prepared.series.values, (raw.values - mean) / std)
 
     def test_online_is_causal(self, rng):
         raw = TimeSeries.from_values(rng.normal(5.0, 2.0, 25))
-        prepared = prepare_stream(raw, "online")
-        # step k uses only values before k; scale is the regularized std
+        series = prepare_stream(raw, "online").series.values
+        y = raw.values
+        # the first step is left as it is, the second centered on the first
+        assert series[0] == y[0] and series[1] == y[1] - y[0]
+        # step k is centered on the mean of the values before k and scaled by
+        # their regularized std
         for k in range(2, 25):
-            prefix = raw.values[:k]
+            prefix = y[:k]
             ssd = float(((prefix - prefix.mean()) ** 2).sum())
-            assert prepared.offsets[k] == pytest.approx(prefix.mean())
-            assert prepared.scales[k] == pytest.approx(math.sqrt((ssd + 2.0) / (k + 1)))
+            scale = math.sqrt((ssd + 2.0) / (k + 1))
+            assert series[k] == pytest.approx((y[k] - prefix.mean()) / scale)
         # regularization washes out: close to the plain sample std by the end
-        assert prepared.scales[24] == pytest.approx(raw.values[:24].std(ddof=1), rel=0.1)
-        # transformed values invert back to the originals
-        np.testing.assert_allclose(prepared.series.values * prepared.scales + prepared.offsets,
-                                   raw.values, rtol=0, atol=1e-9)
+        assert series[24] == pytest.approx((y[24] - y[:24].mean()) / y[:24].std(ddof=1),
+                                           rel=0.1)
+        # a later value changes no earlier step
+        changed = TimeSeries.from_values(np.concatenate([y[:20], y[20:] + 100.0]))
+        np.testing.assert_array_equal(prepare_stream(changed, "online").series.values[:20],
+                                      series[:20])
 
     def test_online_survives_constant_prefix(self):
         raw = TimeSeries.from_values([2.0, 2.0, 2.0, 5.0, 6.0])
         prepared = prepare_stream(raw, "online")
         assert np.isfinite(prepared.series.values).all()
-        # the pseudo-observations keep a near-constant prefix from exploding
+        # the pseudo-observations keep a near-constant prefix from exploding:
+        # the first step off it is scaled by sqrt((0 + 2) / (3 + 1))
+        assert prepared.series.values[3] == pytest.approx(3.0 / math.sqrt(0.5))
         assert np.abs(prepared.series.values).max() < 10.0
 
     def test_none_mode_is_identity(self):

@@ -72,12 +72,24 @@ class TestKernels:
         if abs(a - b) < 10.0 * kernel.length_scale:
             assert left > 0.0
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    # the last two square to infinity and to a subnormal float
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, 1e200, 1e-160])
     def test_invalid_scales_rejected(self, bad):
         with pytest.raises(ValueError):
             Matern52(bad, 1.0)
         with pytest.raises(ValueError):
             Matern52(1.0, bad)
+
+    def test_scale_range_is_where_squares_are_normal_floats(self):
+        low, high = 2.0 ** -511, math.sqrt(sys.float_info.max)
+        assert low * low == sys.float_info.min and high * high < math.inf
+        assert TemporalFeature(high, low, low).as_dict() == {
+            "sigma_f": high, "sigma_l": low, "sigma_n": low}
+        assert TemporalFeature(1.0, 1.0, 0.0).sigma_n == 0.0
+        # one float past either end squares to a subnormal or to infinity
+        for bad in (math.nextafter(low, 0.0), math.nextafter(high, math.inf), 5e-324, -low):
+            with pytest.raises(ValueError, match="sigma_n"):
+                TemporalFeature(1.0, 1.0, bad)
 
 
 class TestCovariance:
