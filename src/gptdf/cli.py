@@ -120,11 +120,12 @@ def predict(stream_csv, features_path, column, tau, alpha, limit, normalization,
     as line-delimited JSON."""
     if not 0.0 < alpha < 1.0:  # unlike click.FloatRange, also rejects NaN
         raise click.BadParameter(f"must lie in (0, 1), got {alpha}", param_hint="'--alpha'")
-    stream = data_io.load_csv(stream_csv, column=column)
+    # the settings file is checked before the data, as simulate and bench check theirs
     features = _load_config(features_path, lambda raw: read_settings(
         raw, [gp_core.TemporalFeature.from_dict], "feature list"))
     if not features:
         raise ConfigError(f"{features_path}: expected a nonempty JSON list of feature triples")
+    stream = data_io.load_csv(stream_csv, column=column)
     state = fusion.ensemble_from_features(features[:limit], tau=tau, alpha=alpha)
     prepared = data_io.prepare_stream(stream, normalization)
     records = fusion.run_stream(state, prepared.series)

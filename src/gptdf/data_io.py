@@ -105,7 +105,10 @@ def load_csv(path, column=0, time_column=None):
             times.append(tv)
         values.append(v)
     if bad_rows:
-        raise DataError(f"unparseable values in {path} at rows {bad_rows}")
+        # the first five name the rows; a file of any length gives one short line
+        where = (f"rows {bad_rows}" if len(bad_rows) <= 5
+                 else f"{len(bad_rows)} rows, the first five at rows {bad_rows[:5]}")
+        raise DataError(f"unparseable values in {path} at {where}")
     if not values:
         raise DataError(f"empty series: no data rows in {path}")
 

@@ -151,27 +151,32 @@ def fuse_predictions(means, variances, omega_hat):
     return FusedPrediction(dist, means, variances, omega_hat)
 
 
-# The last cache miss: its offsets key; the gain rows, and the predictive
-# variances clamped at zero with their clamp count, floored at VARIANCE_FLOOR
-# and as log(2 pi v) of the floored ones, which every hit reuses; and what
-# `_slid_factors` slides the next window from (inverse factors None when they
-# carry escalated jitter).
-_WindowCache = namedtuple(
-    "_WindowCache", "key gains variances clamps floored log_norm times t_star factors rows")
+# The last cache miss: its offsets key; and the gain rows in window order,
+# with the predictive variances clamped at zero and their clamp count,
+# floored at VARIANCE_FLOOR and as log(2 pi v) of the floored ones, which
+# every hit reuses.
+_WindowCache = namedtuple("_WindowCache", "key gains variances clamps floored log_norm")
 
 # Per-state constants of the experts: means, as a vector and a column; output
-# and length scales as columns; noise and prior variances k(t, t); and the
-# post-update weight floor WEIGHT_FLOOR / M.
+# and length scales as columns, which build the window covariance; the
+# columns -sqrt(5) / length scale and output scale squared / 3, which build
+# k*; noise and prior variances k(t, t); the noisy prior variance plus its
+# first ridge, and 1e-3 of the noisy prior variance, the d^2 floor of a
+# slide; and the post-update weight floor WEIGHT_FLOOR / M.
 _Experts = namedtuple(
-    "_Experts", "mean mean_col output_scale length_scale noise_var prior weight_floor")
+    "_Experts", "mean mean_col output_scale length_scale neg_rate sf2_3 noise_var prior ridged "
+    "d2_floor weight_floor")
 
 
 def _expert_constants(models):
     mean = np.array([m.mean for m in models])
     sf = np.array([m.kernel.output_scale for m in models])[:, None]
-    return _Experts(mean, mean[:, None], sf,
-                    np.array([m.kernel.length_scale for m in models])[:, None],
-                    np.array([m.noise_std for m in models]) ** 2, sf[:, 0] ** 2,
+    sl = np.array([m.kernel.length_scale for m in models])[:, None]
+    noise_var = np.array([m.noise_std for m in models]) ** 2
+    prior = sf[:, 0] ** 2
+    diagonal = prior + noise_var
+    return _Experts(mean, mean[:, None], sf, sl, -gp_core.SQRT5 / sl, sf ** 2 / 3.0, noise_var,
+                    prior, (1.0 + gp_core.JITTER_INITIAL) * diagonal, 1e-3 * diagonal,
                     WEIGHT_FLOOR / len(models))
 
 
@@ -180,9 +185,9 @@ class _Window:
     so reading the window copies nothing. An append that finds the buffers
     full moves the window to their front, about once per `tau` appends; the
     buffers double, up to twice `tau`, as the window fills, so a long `tau`
-    costs memory only for the points seen."""
+    costs memory only for the points seen. `appends` counts the appends."""
 
-    __slots__ = ("tau", "times", "values", "lo", "hi")
+    __slots__ = ("tau", "times", "values", "lo", "hi", "appends")
 
     def __init__(self, tau, times=(), values=()):
         n = min(len(times), tau)
@@ -192,6 +197,7 @@ class _Window:
         self.times[:n] = times[len(times) - n:]
         self.values[:n] = values[len(values) - n:]
         self.lo, self.hi = 0, n
+        self.appends = 0
 
     def append(self, t, y):
         if self.hi == self.times.size:
@@ -210,6 +216,7 @@ class _Window:
         self.hi += 1
         if self.hi - self.lo > self.tau:
             self.lo += 1
+        self.appends += 1
 
 
 @dataclass
@@ -236,6 +243,7 @@ class EnsembleState:
     _window: _Window = field(default=None, init=False, repr=False, compare=False)
     _experts: _Experts = field(default=None, init=False, repr=False, compare=False)
     _window_cache: _WindowCache = field(default=None, init=False, repr=False, compare=False)
+    _factors: _SlotFactors = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self, window):
         if len(self.models) < 1:
@@ -286,87 +294,144 @@ def ensemble_from_features(features, tau=DEFAULT_TAU, alpha=DEFAULT_ALPHA, mean=
 def _inverse_factors(V):
     """Inverse factors L_j^-1 of an (M, n, n) stack of window covariances, each
     L_j the factor `gp_core._cholesky_with_jitter` gives the dense
-    `gp_core.predict`; and the factors to carry over, None unless every
-    expert took the first ridge, the only one `_slid_factors` extends."""
+    `gp_core.predict`; and whether every expert took the first ridge, the
+    only one a slide extends."""
     factors = [gp_core._cholesky_with_jitter(v) for v in V]
     # a triangular inverse per expert costs a tenth of np.linalg.inv's LU
     G = np.array([lapack.dtrtri(L, lower=1)[0] for L, _ in factors])
-    return G, G if all(jitter == gp_core.JITTER_INITIAL for _, jitter in factors) else None
+    return G, all(jitter == gp_core.JITTER_INITIAL for _, jitter in factors)
 
 
-def _slid_factors(state, times, diagonal):
-    """Inverse factors of the window `times` carried over from the last cache
-    miss, or None when they must be computed afresh.
+class _SlotFactors:
+    """The window's inverse factors G_j, with G_j'G_j the inverse of V_j plus
+    its ridge, in one C-contiguous (M, S, S) stack that slides in place, and
+    the record of the last cache miss that used them.
 
-    If the window is the last miss's window followed by the t* it predicted,
-    its factor is that miss's G_j bordered by the row (-gains_j', 1) / d_j,
-    d_j^2 = `diagonal`_j plus its ridge minus |rows_j|^2. If the first point
-    has also left, a Householder reflection, which keeps G_j'G_j, maps the
-    first column onto a multiple of e_1, and the trailing block is the factor
-    without that point. Any other window gives None, and so does a
-    d_j^2 <= 1e-3 `diagonal`_j: it marks a nearly singular window, where a
-    slid factor drifts from the dense solution.
+    Each window point owns one slot: a row and a column of every G_j, and an
+    entry of `times`. The window's points hold the slots first, first + 1,
+    ..., first + size - 1, modulo S, oldest first; a free slot's row and
+    column are zero, so the products read it as nothing. S doubles up to
+    tau + 1 as the window fills, so a long `tau` costs memory only for the
+    points seen. `gains` (rows_j' G_j, in slot order over the leading slots
+    the window spans) and `sq` (|rows_j|^2, rows_j = G_j k*_j) are the last
+    miss's; `appends` and `t_star` are the window's append count at that
+    miss and the time it predicted.
     """
-    cached = state._window_cache
-    if cached is None or cached.factors is None:
-        return None
-    gains, prev_times, prev_t, factors, rows = (
-        cached.gains, cached.times, cached.t_star, cached.factors, cached.rows)
-    m, n = rows.shape
-    drop = times.size == n
-    if not np.array_equal(times, np.append(prev_times[1:] if drop else prev_times, prev_t)):
-        return None
-    d2 = (1.0 + gp_core.JITTER_INITIAL) * diagonal - np.einsum("ij,ij->i", rows, rows)
-    if not (d2 > 1e-3 * diagonal).all():
-        return None
-    G = np.empty((m, n + 1, n + 1))
-    G[:, :n, :n] = factors
-    G[:, :n, n] = 0.0
-    G[:, n] = np.append(-gains, np.ones((m, 1)), axis=1) / np.sqrt(d2)[:, None]
-    if not drop:
-        return G
-    # H = I - v v' / (|a| (|a| + |a_0|)) with v = a + sign(a_0)|a| e_1 for the
-    # first column a, applied as G -= v proj'.
-    a = G[:, :, 0]
-    norm = np.sqrt(np.einsum("ij,ij->i", a, a))
-    v = a.copy()
-    v[:, 0] += np.copysign(norm, a[:, 0])
-    proj = np.matmul(v[:, None, :], G)[:, 0] / (norm * (norm + np.abs(a[:, 0])))[:, None]
-    for j in range(m):
-        # G[j].T is Fortran-ordered, so BLAS updates G[j] in place.
-        blas.dger(-1.0, proj[j], v[j], a=G[j].T, overwrite_a=1)
-    return G[:, 1:, 1:]
+
+    __slots__ = ("G", "times", "first", "size", "gains", "sq", "appends", "t_star")
+
+    def __init__(self, G, times, tau):
+        m, n, _ = G.shape
+        slots = min(tau + 1, max(16, 2 * n))
+        self.G = np.zeros((m, slots, slots))
+        self.G[:, :n, :n] = G
+        self.times = np.zeros(slots)
+        self.times[:n] = times
+        self.first, self.size = 0, n
+
+    def slide(self, window, e):
+        """Move the factors in place to `window`, the last miss's window
+        followed by the t* that miss predicted and without its oldest point
+        if that point has left; False, with nothing written, for any other
+        window or a nearly singular one.
+
+        The appended point borders G_j with the row (-gains_j', 1) / d_j in a
+        free slot, d_j^2 the point's noisy prior variance plus its ridge
+        minus |rows_j|^2. A departing point is dropped by a Householder
+        reflection, which keeps G_j'G_j and maps the point's column onto a
+        multiple of its own slot's unit vector; zeroing that slot's row and
+        column then leaves the factor without the point. A
+        d_j^2 <= 1e-3 of the noisy prior variance marks a nearly singular
+        window, where a slid factor drifts from the dense solution.
+        """
+        if window.appends != self.appends + 1 or window.times[window.hi - 1] != self.t_star:
+            return False
+        d2 = e.ridged - self.sq
+        if not (d2 > e.d2_floor).all():
+            return False
+        G, n, size = self.G, self.gains.shape[1], self.size
+        if size == G.shape[1]:  # no free slot: the window is filling, from slot 0
+            grown = min(2 * size, window.tau + 1)
+            self.G = np.zeros((G.shape[0], grown, grown))
+            self.G[:, :size, :size] = G
+            self.times = np.append(self.times, np.zeros(grown - size))
+            G = self.G
+        free = (self.first + size) % G.shape[1]
+        d = np.sqrt(d2)
+        np.divide(self.gains, -d[:, None], out=G[:, free, :n])
+        G[:, free, free] = 1.0 / d
+        self.times[free] = self.t_star
+        if size < window.hi - window.lo:
+            self.size = size + 1
+            return True
+        # H = I - v v' / c with v = a + sign(a_p)|a| e_p, c = |a| (|a| + |a_p|),
+        # for the departing point's column a and slot p: G -= v (v'G)' / c.
+        p = self.first
+        v = G[:, :, p].copy()
+        pivot = v[:, p].tolist()
+        norm = np.sqrt(np.einsum("ij,ij->i", v, v))
+        v[:, p] += np.copysign(norm, pivot)
+        proj = np.matmul(v[:, None, :], G)
+        for j, (norm_j, pivot_j) in enumerate(zip(norm.tolist(), pivot)):
+            # G[j] is a whole C-contiguous matrix, so G[j].T is Fortran-ordered
+            # and BLAS updates it in place; on a sub-view f2py would update a
+            # copy.
+            c = norm_j * (norm_j + abs(pivot_j))
+            blas.dger(-1.0 / c, proj[j, 0], v[j], a=G[j].T, overwrite_a=1)
+        G[:, p] = 0.0
+        G[:, :, p] = 0.0
+        self.first = (p + 1) % G.shape[1]
+        return True
 
 
 def _window_gains(state, t_star):
-    """Per-expert gain rows W_j = V_j^-1 k*_j and unclamped predictive
-    variances k(t*, t*) - k*_j' V_j^-1 k*_j for predicting `t_star` from the
-    current window; stores them as the last cache miss.
+    """Per-expert gain rows W_j = V_j^-1 k*_j, in window order, and
+    unclamped predictive variances k(t*, t*) - k*_j' V_j^-1 k*_j for
+    predicting `t_star` from the current window.
 
     Called on a miss of `_predictions`' cache. A miss takes rows G_j k*_j and
-    gains rows_j' G_j from the window's inverse factors G_j, with G_j'G_j the
-    inverse of V_j plus its ridge. `_slid_factors` gives them in O(M tau^2)
-    when the window is the last miss's plus the point it predicted; any
-    other miss factors each expert's window with `_inverse_factors`,
-    O(M tau^3).
+    gains rows_j' G_j from the window's inverse factors G_j. The factors of
+    the last miss slide in place to the new window in O(M tau^2) when it is
+    that window plus the point it predicted (`_SlotFactors.slide`); any
+    other miss factors each expert's window afresh with `_inverse_factors`,
+    O(M tau^3), and carries the factors on only if every expert took the
+    first ridge.
     """
     window = state._window
-    times = window.times[window.lo:window.hi]
-    offsets = t_star - times
     e = state._experts
-    sf, sl, noise_var = e.output_scale, e.length_scale, e.noise_var
-    G = carried = _slid_factors(state, times, e.prior + noise_var)
-    if G is None:
+    factors = state._factors
+    state._factors = None
+    carried = True
+    if factors is None or not factors.slide(window, e):
+        times = window.times[window.lo:window.hi]
         r = np.abs(times[:, None] - times[None, :])
-        K = gp_core._matern52(sf[:, :, None], sl[:, :, None], r)
-        G, carried = _inverse_factors(K + noise_var[:, None, None] * np.eye(times.size))
-    k_star = gp_core._matern52(sf, sl, np.abs(offsets))
+        K = gp_core._matern52(e.output_scale[:, :, None], e.length_scale[:, :, None], r)
+        G, carried = _inverse_factors(K + e.noise_var[:, None, None] * np.eye(times.size))
+        factors = _SlotFactors(G, times, window.tau)
+    G, first, end = factors.G, factors.first, factors.first + factors.size
+    span = G.shape[1]
+    if end < span:  # a filling window holds the leading slots
+        span = end
+        G = G[:, :end, :end]
+    # Matern-5/2 k* = sigma_f^2 (1 + a + a^2 / 3) exp(-a), a = sqrt(5) |t* - t| / sigma_l
+    na = e.neg_rate * np.abs(t_star - factors.times[:span])
+    k_star = 3.0 - na
+    k_star *= na
+    np.subtract(3.0, k_star, out=k_star)
+    k_star *= np.exp(na)
+    k_star *= e.sf2_3
     rows = np.matmul(G, k_star[:, :, None])[:, :, 0]
     gains = np.matmul(rows[:, None, :], G)[:, 0]
-    variances = e.prior - np.einsum("ij,ij->i", rows, rows)
-    state._window_cache = _WindowCache(offsets.tobytes(), gains, variances, None, None, None,
-                                       times.copy(), t_star, carried, rows)
-    return gains, variances
+    sq = np.einsum("ij,ij->i", rows, rows)
+    if carried:
+        factors.gains, factors.sq = gains, sq
+        factors.appends, factors.t_star = window.appends, t_star
+        state._factors = factors
+    if end > span:  # the window wraps round the slots
+        gains = np.concatenate((gains[:, first:], gains[:, :end - span]), axis=1)
+    elif first:
+        gains = gains[:, first:end]
+    return gains, e.prior - sq
 
 
 def _predictions(state, t_star):
@@ -394,9 +459,8 @@ def _predictions(state, t_star):
         if clamps:
             variances = np.maximum(variances, 0.0)
         floored = np.maximum(variances, VARIANCE_FLOOR)
-        cached = state._window_cache = state._window_cache._replace(
-            gains=gains, variances=variances, clamps=clamps, floored=floored,
-            log_norm=np.log(_TWO_PI * floored))
+        cached = state._window_cache = _WindowCache(key, gains, variances, clamps, floored,
+                                                    np.log(_TWO_PI * floored))
     if cached.clamps:
         gp_core.diagnostics["variance_clamps"] += cached.clamps
     y = window.values[window.lo:window.hi]
@@ -419,7 +483,8 @@ def _fused(means, variances, floored, omega_hat):
 
 def fused_prediction(state, t_star):
     """Fused prediction at `t_star` from the current window and predictive
-    weights. Does not advance the state; it only refreshes the window cache.
+    weights. Does not advance the state; it only refreshes the window cache
+    and its inverse factors.
 
     Each expert's prediction equals `gp_core.predict(model, window, t_star)`,
     the dense single-model reference, computed for all experts at once.

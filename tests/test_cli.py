@@ -85,6 +85,15 @@ class TestFit:
             assert code == 3, column
             assert err.startswith("error: unparseable values") and err.count("\n") == 1
 
+    def test_many_bad_rows_give_one_short_line(self, capsys, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("y\n" + "abc\n" * 400)
+        code, out, err = run_cli(capsys, "fit", str(path), "--column", "y")
+        assert code == 3
+        assert err.startswith("error: unparseable values") and err.count("\n") == 1
+        assert "400 rows, the first five at rows [2, 3, 4, 5, 6]" in err
+        assert len(err) < 200 + len(str(path))
+
 
 class TestGenerate:
     def test_csv_on_stdout(self, capsys):
@@ -153,6 +162,16 @@ class TestPredict:
         assert code == 0
         first = json.loads(out.strip().splitlines()[0])
         assert len(first["omega_hat"]) == 2
+
+    def test_bad_features_exit_2_before_the_csv_is_read(self, capsys, tmp_path):
+        features_path = tmp_path / "features.json"
+        features_path.write_text(json.dumps([{"sigma_f": 1e200, "sigma_l": 1.0, "sigma_n": 0.1}]))
+        path = tmp_path / "bad.csv"
+        path.write_text("y\n1.0\nabc\n2.0\n")
+        code, out, err = run_cli(capsys, "predict", str(path), "--features", str(features_path),
+                                 "--column", "y")
+        assert code == 2
+        assert "features.json" in err and "unparseable" not in err
 
     def test_empty_features_exit_2(self, capsys, tmp_path, stream_csv):
         features_path = tmp_path / "features.json"

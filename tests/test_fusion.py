@@ -651,28 +651,40 @@ class TestBatchedExperts:
         state = ensemble_from_features(MIXED_FEATURES[:3], tau=tau)
         for k in range(tau + 2):
             gptdf_step(state, (t[k], 0.1 * k))
-        # rows far longer than the prior standard deviation leave no
-        # positive d^2 for the appended point
-        state._window_cache = state._window_cache._replace(rows=1e3 * state._window_cache.rows)
+        # |rows|^2 far above the prior variance leaves no positive d^2 for
+        # the appended point
+        state._factors.sq = 1e6 * state._factors.sq
         calls = count_refactors(monkeypatch)
         checked_step(state, t[tau + 2], 0.0)
         assert len(calls) == 1
 
 
+def window_slots(factors):
+    """The slots of the window's points, oldest first."""
+    return (factors.first + np.arange(factors.size)) % factors.G.shape[1]
+
+
 def assert_inverse_factors(state, tol):
     """The inverse factors G_j carried by the last miss satisfy
-    G_j'G_j = (V_j + first ridge)^-1 on that miss's window, to `tol` times the
-    largest entry of the dense inverse."""
-    cached = state._window_cache
-    for model, G in zip(state.models, cached.factors):
-        V = dense_noisy(model.kernel, cached.times, model.noise_std, gp_core.JITTER_INITIAL)
+    G_j'G_j = (V_j + first ridge)^-1 on that miss's window, read from the
+    occupied slots in window order, to `tol` times the largest entry of the
+    dense inverse; every free slot's row and column is zero."""
+    factors = state._factors
+    slots = window_slots(factors)
+    free = np.setdiff1d(np.arange(factors.G.shape[1]), slots)
+    for model, G in zip(state.models, factors.G):
+        V = dense_noisy(model.kernel, factors.times[slots], model.noise_std,
+                        gp_core.JITTER_INITIAL)
         P = np.linalg.inv(V)
-        np.testing.assert_allclose(G.T @ G, P, rtol=0.0, atol=tol * np.abs(P).max())
+        np.testing.assert_allclose(G[:, slots].T @ G[:, slots], P, rtol=0.0,
+                                   atol=tol * np.abs(P).max())
+        assert not G[free].any() and not G[:, free].any()
 
 
 class TestInverseFactors:
-    """The (M, n, n) inverse factors a cache miss slides from one window to
-    the next: bordered by the appended point, reflected to drop the oldest."""
+    """The inverse factors a cache miss slides from one window to the next
+    in their slot buffer: bordered by the appended point in a free slot,
+    reflected to drop the oldest and free its slot."""
 
     def test_append_and_drop_keep_inverse_factors(self, monkeypatch, rng):
         tau = 12
@@ -683,7 +695,7 @@ class TestInverseFactors:
             gptdf_step(state, (t[k], math.sin(t[k])))
             if k:
                 # steps 1..tau-1 append only; later steps append and drop
-                assert state._window_cache.times.size == min(k, tau)
+                assert window_slots(state._factors).size == min(k, tau)
                 assert_inverse_factors(state, 1e-10)
         assert calls == [(16, 1, 1)]
 
@@ -694,22 +706,36 @@ class TestInverseFactors:
         state = ensemble_from_features(MIXED_FEATURES[::4], tau=tau, mean=0.25)
         for k in range(tau + 2):
             gptdf_step(state, (t[k], math.cos(t[k])))
-        # Negating the first row of G leaves G'G and the gains as they are;
-        # it only flips the pivot a_0 of the next drop, so both signs of the
-        # reflection run on the same window.
-        cached = state._window_cache
-        flip = np.where((cached.factors[:, 0, 0] >= 0.0) == nonnegative_pivot, 1.0, -1.0)
-        factors = cached.factors.copy()
-        rows = cached.rows.copy()
-        factors[:, 0] *= flip[:, None]
-        rows[:, 0] *= flip
-        state._window_cache = cached._replace(factors=factors, rows=rows)
-        assert ((factors[:, 0, 0] >= 0.0) == nonnegative_pivot).all()
+        # Negating the row of the oldest point's slot leaves G'G and the
+        # gains as they are; it only flips the pivot a_p of the next drop, so
+        # both signs of the reflection run on the same window.
+        factors = state._factors
+        p = factors.first
+        flip = np.where((factors.G[:, p, p] >= 0.0) == nonnegative_pivot, 1.0, -1.0)
+        factors.G[:, p] *= flip[:, None]
+        assert ((factors.G[:, p, p] >= 0.0) == nonnegative_pivot).all()
         calls = count_refactors(monkeypatch)
         for k in range(tau + 2, t.size):
             checked_step(state, t[k], math.cos(t[k]))
             assert_inverse_factors(state, 1e-10)
         assert calls == []
+
+    def test_full_window_slides_stay_in_one_stack(self, monkeypatch, rng):
+        # Once the window is full, a slide writes into the same factor stack
+        # and the one-point window is the only refactor.
+        tau = 20  # the stack grows from 16 slots to tau + 1 as the window fills
+        t = jittered(4 * tau + 1, rng)
+        state = ensemble_from_features(MIXED_FEATURES[:4], tau=tau)
+        calls = count_refactors(monkeypatch)
+        for k in range(2 * tau + 1):
+            gptdf_step(state, (t[k], math.sin(t[k])))
+        stack = state._factors.G
+        assert stack.shape == (4, tau + 1, tau + 1)
+        for k in range(2 * tau + 1, t.size):
+            checked_step(state, t[k], math.sin(t[k]))
+            assert state._factors.G is stack
+        assert_inverse_factors(state, 1e-10)
+        assert calls == [(4, 1, 1)]
 
     def test_long_length_scales_match_dense(self, monkeypatch, rng):
         # Long length scales and little noise make the window covariance
