@@ -27,12 +27,29 @@ __all__ = [
 ]
 
 
-def _parse_float(text):
-    try:
-        v = float(text)
-    except (TypeError, ValueError):
-        return None
-    return v if math.isfinite(v) else None
+def _columns(first, column, time_column):
+    """The value and time column indices, and whether `first`, the file's
+    first nonblank row, is a header: it is when a selector is a name, or when
+    its value cell does not parse as a float (so a nan or inf first row is
+    data). Negative indices count from the end of the row."""
+    names = [cell.strip() for cell in first]
+
+    def index(sel):
+        if not isinstance(sel, str):
+            return int(sel)
+        if sel not in names:
+            raise DataError(f"column {sel!r} not found in header {names}")
+        return names.index(sel)
+
+    col = index(column)
+    time_col = None if time_column is None else index(time_column)
+    header = isinstance(column, str) or isinstance(time_column, str)
+    if not header:
+        try:
+            float(first[col])
+        except (IndexError, ValueError):
+            header = True
+    return col, time_col, header
 
 
 def load_csv(path, column=0, time_column=None):
@@ -41,69 +58,40 @@ def load_csv(path, column=0, time_column=None):
     Without a time column, timestamps are consecutive integers 0..n-1. Rows
     whose selected cells do not parse as finite numbers abort the load with
     the 1-based line each starts on. Header rows are detected automatically
-    for integer column selectors and required for name selectors.
+    for integer column selectors and required for name selectors. The file
+    is read once, as UTF-8 with or without a byte-order mark, and only the
+    selected cells' floats are kept.
     """
-    rows = []  # (line the row starts on, row), blank rows left out
+    values, times, bad_rows = [], [], []
+    col = None  # the value column's index, once the first nonblank row is read
     try:  # fspath: open() would take an int as a file descriptor
-        with open(os.fspath(path), encoding="utf-8", newline="") as fh:
+        with open(os.fspath(path), encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
-            line_no = 1
+            end = 0  # the line the last row ended on: a quoted cell may span lines
             for row in reader:
-                if row:
-                    rows.append((line_no, row))
-                line_no = reader.line_num + 1  # a quoted cell may span lines
+                start, end = end + 1, reader.line_num
+                if not row:
+                    continue
+                if col is None:
+                    col, time_col, header = _columns(row, column, time_column)
+                    if header:
+                        continue
+                try:
+                    v = float(row[col])
+                    t = v if time_col is None else float(row[time_col])
+                except (IndexError, ValueError):  # past either end of the row, or not a number
+                    v = t = math.nan
+                if math.isfinite(v) and math.isfinite(t):
+                    values.append(v)
+                    if time_col is not None:
+                        times.append(t)
+                else:
+                    bad_rows.append(start)
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"{path} is not readable as UTF-8 CSV: {exc}") from exc
 
-    names_used = isinstance(column, str) or isinstance(time_column, str)
-    if not rows:
+    if col is None:
         raise DataError(f"empty series: no rows in {path}")
-
-    header_lines = 0
-    if names_used:
-        header = [cell.strip() for cell in rows[0][1]]
-        header_lines = 1
-
-        def resolve(sel):
-            if isinstance(sel, str):
-                if sel not in header:
-                    raise DataError(f"column {sel!r} not found in header {header}")
-                return header.index(sel)
-            return int(sel)
-
-        col_idx = resolve(column)
-        time_idx = resolve(time_column) if time_column is not None else None
-    else:
-        col_idx = int(column)
-        time_idx = int(time_column) if time_column is not None else None
-        first = rows[0][1]
-        probe = first[col_idx] if -len(first) <= col_idx < len(first) else ""
-        try:
-            float(probe)
-        except ValueError:
-            header_lines = 1  # first row is not numeric: treat as header
-
-    values = []
-    times = []
-    bad_rows = []
-    for line_no, row in rows[header_lines:]:
-        try:
-            v = _parse_float(row[col_idx])
-        except IndexError:  # past either end of the row
-            v = None
-        if v is None:
-            bad_rows.append(line_no)
-            continue
-        if time_idx is not None:
-            try:
-                tv = _parse_float(row[time_idx])
-            except IndexError:
-                tv = None
-            if tv is None:
-                bad_rows.append(line_no)
-                continue
-            times.append(tv)
-        values.append(v)
     if bad_rows:
         # the first five name the rows; a file of any length gives one short line
         where = (f"rows {bad_rows}" if len(bad_rows) <= 5
@@ -112,7 +100,7 @@ def load_csv(path, column=0, time_column=None):
     if not values:
         raise DataError(f"empty series: no data rows in {path}")
 
-    if time_idx is not None:
+    if time_col is not None:
         t = np.asarray(times, dtype=float)
         if t.size > 1 and not np.all(np.diff(t) > 0.0):
             raise DataError(f"time column in {path} is not strictly increasing")

@@ -486,6 +486,8 @@ class Scenario:
         ids = [n.id for n in self.nodes]
         if len(set(ids)) != len(ids):
             raise ConfigError(f"duplicate node ids: {ids}")
+        if "" in ids:  # a node reports its feature under its id
+            raise ConfigError(f"empty node id: {ids}")
         if self.target_id in ids:
             raise ConfigError(f"target id {self.target_id!r} collides with a historical node")
         if self.subset != "all" and not isinstance(self.subset, (list, tuple)):

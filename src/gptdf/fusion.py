@@ -332,8 +332,9 @@ class _SlotFactors:
     def slide(self, window, e):
         """Move the factors in place to `window`, the last miss's window
         followed by the t* that miss predicted and without its oldest point
-        if that point has left; False, with nothing written, for any other
-        window or a nearly singular one.
+        if that point has left; True, with nothing written, for the last
+        miss's window itself (no append since); False, with nothing written,
+        for any other window or a nearly singular one.
 
         The appended point borders G_j with the row (-gains_j', 1) / d_j in a
         free slot, d_j^2 the point's noisy prior variance plus its ridge
@@ -344,6 +345,8 @@ class _SlotFactors:
         d_j^2 <= 1e-3 of the noisy prior variance marks a nearly singular
         window, where a slid factor drifts from the dense solution.
         """
+        if window.appends == self.appends:
+            return True
         if window.appends != self.appends + 1 or window.times[window.hi - 1] != self.t_star:
             return False
         d2 = e.ridged - self.sq
@@ -392,7 +395,8 @@ def _window_gains(state, t_star):
     Called on a miss of `_predictions`' cache. A miss takes rows G_j k*_j and
     gains rows_j' G_j from the window's inverse factors G_j. The factors of
     the last miss slide in place to the new window in O(M tau^2) when it is
-    that window plus the point it predicted (`_SlotFactors.slide`); any
+    that window plus the point it predicted, and are used as they are when
+    no point has been appended since (`_SlotFactors.slide`); any
     other miss factors each expert's window afresh with `_inverse_factors`,
     O(M tau^3), and carries the factors on only if every expert took the
     first ridge.

@@ -478,6 +478,9 @@ MALFORMED_SETTINGS = {
     "bench-fit-text": ("bench", json.dumps({**BENCH, "fit": ""})),
     "bench-list": ("bench", "[]"),
     "scenario-negative-seed": ("simulate", json.dumps({**scenario_dict(), "seed": -1})),
+    # a node with no id would be fitted and only then fail to report
+    "scenario-empty-node-id": ("simulate", json.dumps(
+        {**scenario_dict(), "historical": [{**scenario_dict()["historical"][0], "id": ""}]})),
     # a misspelled key would run with the default it meant to override
     "scenario-unknown-key": ("simulate", json.dumps({**scenario_dict(), "tua": 5})),
     "scenario-historical-unknown-key": ("simulate", json.dumps(

@@ -4,6 +4,7 @@ import math
 import os
 import re
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,6 +154,30 @@ class TestLoadCsv:
         # a data spec naming the file reports it as data, not as a bad spec
         with pytest.raises(DataError):
             resolve_data_spec({"csv": str(p)})
+
+    @pytest.mark.parametrize("text, selectors", [("\ufeff1.0\n2.0\n3.0\n", (0, None)),
+                                                 ("\ufefft,y\n0,1\n1,2\n2,3\n", ("y", "t"))],
+                             ids=["before-data", "before-header"])
+    def test_byte_order_mark_is_not_part_of_the_first_row(self, tmp_path, text, selectors):
+        p = tmp_path / "v.csv"
+        p.write_text(text, encoding="utf-8")
+        series = load_csv(p, *selectors)
+        np.testing.assert_array_equal(series.timestamps, [0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(series.values, [1.0, 2.0, 3.0])
+
+    def test_memory_holds_the_selected_columns_not_the_rows(self, tmp_path, rng):
+        p = tmp_path / "wide.csv"
+        table = rng.normal(size=(20_000, 20))
+        table[:, 0] = np.arange(20_000)
+        np.savetxt(p, table, delimiter=",")
+        tracemalloc.start()
+        try:
+            series = load_csv(p, column=3, time_column=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(series.values, table[:, 3])
+        assert peak < 8e6  # holding every row's cells as strings peaks near 38 MB
 
 
 class TestNormalize:

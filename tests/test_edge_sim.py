@@ -404,6 +404,8 @@ class TestSimulation:
         spec = synthetic_spec(30, 1)  # valid, so each case reaches only its own check
         with pytest.raises(ConfigError, match="duplicate node ids"):
             Scenario(nodes=(NodeSpec("a", spec), NodeSpec("a", spec)), target=spec)
+        with pytest.raises(ConfigError, match="empty node id"):
+            Scenario(nodes=(NodeSpec("a", spec), NodeSpec("", spec)), target=spec)
         with pytest.raises(ConfigError, match="collides with a historical node"):
             Scenario(nodes=(NodeSpec("target", spec),), target=spec)
         with pytest.raises(ConfigError, match="subset must be 'all' or a list"):
