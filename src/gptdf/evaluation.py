@@ -135,9 +135,16 @@ class BenchmarkMethod:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(**read_settings(d, {"name": str, "kind": str,
-                                       "features": [TemporalFeature.from_dict],
-                                       "train_size": int}, "benchmark method"))
+        keys = {"name": str, "kind": str, "features": [TemporalFeature.from_dict],
+                "train_size": int}
+        # each kind reads one of the last two keys; the other would be ignored
+        kind = d.get("kind") if isinstance(d, dict) else None
+        if kind == "fusion":
+            del keys["train_size"]
+        elif kind == "baseline":
+            del keys["features"]
+        what = f"{kind} method" if kind in ("fusion", "baseline") else "benchmark method"
+        return cls(**read_settings(d, keys, what))
 
 
 @dataclass(frozen=True)

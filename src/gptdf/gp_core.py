@@ -389,15 +389,16 @@ _CSTEP = 1e-20
 # parts carry the gradient and settle later than the real parts.
 _SETTLED = 1e-14
 # Steps on the trailing run of equal gaps after which a filter that has not
-# settled hands the rest of the run to `_handover_tail`, and the fewest
-# observations left for which that pays. A handover costs about as much as
-# 50 loop steps a pass, and a whole evaluation that hands over after the
-# first step costs about as much as one that settles within 30. So a run
+# settled hands the rest of the run, with the stationary covariance, to
+# `_run_tail`, and the fewest observations left for which that pays. A
+# handover costs about as much as 50 loop steps a pass, and a whole
+# evaluation that hands over after the first step costs about as much as
+# one that settles within 30. So a run
 # whose scaled gap u = sqrt(5) gap / sigma_l is below `_LONG_SCALE_U` (a
 # length scale over 11 gaps, which takes more than 50 steps to settle)
 # hands over after its first step; any other hands over after 72 steps if
 # it has not settled, which keeps fitted triples (settled within 70 steps)
-# on the steady tail.
+# off the doubling that the stationary covariance takes.
 _HANDOVER_STEPS = 72
 _HANDOVER_MIN_REST = 64
 _LONG_SCALE_U = 0.2
@@ -461,9 +462,8 @@ def _kalman_terms(y, rows, r, handover=0):
 
     `rows` ends in a run of one row object that appears nowhere before the
     run. On that run the recursion for S and the gains does not depend on y;
-    once they stop changing, `_steady_tail` gives the remaining sums. If
-    they still change after `handover` steps of the run (0: never),
-    `_handover_tail` gives them instead.
+    once they stop changing, or if they still change after `handover` steps
+    of the run (0: never), `_run_tail` gives the remaining sums.
     """
     m0 = m1 = m2 = 0.0
     p00 = p01 = p02 = p11 = p12 = p22 = 0.0
@@ -473,6 +473,7 @@ def _kalman_terms(y, rows, r, handover=0):
     tol = _SETTLED
     steady = rows[-1]
     budget = handover
+    fixed = None
     ys = iter(y)
     for yk, row in zip(ys, rows):
         a, b, e, e2, q00, q01, q02, q11, q12, q22 = row
@@ -519,64 +520,20 @@ def _kalman_terms(y, rows, r, handover=0):
                         and abs(d1.imag) <= tol * abs(k1.imag)
                         and abs(d2.real) <= tol * abs(k2.real)
                         and abs(d2.imag) <= tol * abs(k2.imag)):
-                    rest = np.fromiter(ys, float)  # zip has taken this step's y
-                    if rest.size:
-                        tail_det, tail_quad = _steady_tail(rest, (a, b, e), s, (k0, k1, k2),
-                                                           (m0, m1, m2))
-                        log_det += tail_det
-                        quad += tail_quad
                     break
             s0, g0, g1, g2 = s, k0, k1, k2
             budget -= 1
-            if not budget:
-                fixed = _riccati_fixed_point(row, r)
-                if fixed is not None:
-                    tail_det, tail_quad = _handover_tail(
-                        np.fromiter(ys, float), row, r, fixed, (m0, m1, m2),
-                        (p00, p01, p02, p11, p12, p22))
-                    log_det += tail_det
-                    quad += tail_quad
-                    break
+            if not budget and (fixed := _riccati_fixed_point(row, r)) is not None:
+                break
+    # after a break the rest of y goes to the tail; a loop that ran to the
+    # end has taken all of it
+    rest = np.fromiter(ys, float)
+    if rest.size:
+        tail_det, tail_quad = _run_tail(rest, row, r, (m0, m1, m2),
+                                        (p00, p01, p02, p11, p12, p22), fixed)
+        log_det += tail_det
+        quad += tail_quad
     return log_det, quad
-
-
-def _steady_tail(y, transition, s, gains, mean):
-    """(sum log S, sum v^2 / S) over the observations `y` that follow a
-    settled filter: innovation variance `s`, gains `gains`, posterior mean
-    `mean`, and the constant transition e U with (a, b, e) = `transition`.
-
-    Then the innovations obey A(z) v = B(z) y, with B(z) = (1 - e/z)^3 the
-    characteristic polynomial of e U and A(z) that of the closed loop
-    e U (I - g h'); the filter's state enters as the zero-input response
-    c_j (the innovations of zero observations), which adds
-    (c0, c1 + a1 c0, c2 + a1 c1 + a2 c0) to the first three right-hand
-    sides. A(z) v = rhs is one unit lower-triangular banded Toeplitz solve.
-    """
-    a, b, e = transition
-    k0, k1, k2 = gains
-    m0, m1, m2 = mean
-    # -trace, the sum of the principal 2x2 minors, and -det of e U (I - g h')
-    a1 = -e * (3.0 - k0 - a * k1 - b * k2)
-    a2 = e * e * (3.0 - 2.0 * k0 - a * k1 + (a * a - b) * k2)
-    a3 = -e * e * e * (1.0 - k0)
-    c = []
-    for _ in range(3):
-        m0 = e * (m0 + a * m1 + b * m2)
-        m1 = e * (m1 + a * m2)
-        m2 = e * m2
-        v = -m0
-        c.append(v)
-        m0 += k0 * v
-        m1 += k1 * v
-        m2 += k2 * v
-    n = len(y)
-    rhs = np.convolve(y, (1.0, -3.0 * e, 3.0 * e * e, -e * e * e))[:n]
-    rhs[:3] += (c[0], c[1] + a1 * c[0], c[2] + a1 * c[1] + a2 * c[0])[:n]
-    band = np.empty((4, n), dtype=complex)  # row 0, the unit diagonal, is not read
-    band[1:] = np.array((a1, a2, a3))[:, None]
-    v, _ = lapack.ztbtrs(band, rhs[:, None], uplo="L", diag="U")
-    v = v[:, 0]
-    return n * cmath.log(s), (v @ v) / s
 
 
 def _riccati_fixed_point(row, r):
@@ -775,16 +732,17 @@ def _real_fixed_point(row, r):
     return None
 
 
-def _handover_tail(y, row, r, fixed, mean, cov):
-    """(sum log S, sum v^2 / S) over the observations `y` that follow a
-    filter that has not settled: posterior mean `mean` and covariance `cov`
-    (upper triangle), constant transition `row`, noise variance `r`, and
-    `fixed` the stationary predicted covariance P (`_riccati_fixed_point`).
+def _run_tail(y, row, r, mean, cov, fixed=None):
+    """(sum log S, sum v^2 / S) over the observations `y` that follow the
+    filter's posterior mean `mean` and covariance `cov` (upper triangle)
+    under the constant transition `row` with noise variance `r`.
 
-    Run the steady filter, S = P00 + r and g = P h / S, from the exact
-    handover mean. With P_k the filter's predicted covariance at the first
-    of these observations and D = P_k - P, its innovations w have covariance
-    S I + H D H', H_t = h' Phi^(t-1) the rows of the closed loop
+    Run the steady filter, S = P00 + r and g = P h / S, from the exact mean.
+    P is `fixed`, the stationary predicted covariance
+    (`_riccati_fixed_point`) handed over by a filter that has not settled,
+    or, for a filter that has settled (`fixed` None), its prediction P_k
+    from `cov`. With D = P_k - P, the steady filter's innovations w have
+    covariance S I + H D H', H_t = h' Phi^(t-1) the rows of the closed loop
     Phi = e U (I - g h'), for any P_k (Solin, Hensman & Turner, NeurIPS
     2018, made exact for any start state). Its innovations are a unit
     triangular map of y, so the sums are
@@ -793,25 +751,27 @@ def _handover_tail(y, row, r, fixed, mean, cov):
     3 x 3 algebra once w and H are known. Both come from one banded solve
     of the steady filter's predicted means mu_{t+1} = Phi mu_t + e U g y_t,
     unit lower triangular in the 3n interleaved state entries, with the
-    handover mean and the unit states e_j (whose first entries are H) as
-    four right-hand sides. The state form, unlike the AR form of
-    `_steady_tail`, keeps rounding from growing through the near-unit
-    roots of long length scales.
+    start mean and the unit states e_j (whose first entries are H) as four
+    right-hand sides. The state form, unlike an AR (polynomial) form of the
+    same filter, keeps rounding from growing through the near-unit roots of
+    long length scales.
+
+    A settled filter has D = 0, so the sums are n log S and w'w / S, and
+    the unit states are not solved for: at scaled gaps u of about 2 and
+    more their responses decay into subnormals, which slow the solve about
+    twofold.
     """
     a, b, e, e2, q00, q01, q02, q11, q12, q22 = row
     p00, p01, p02, p11, p12, p22 = cov
     m0, m1, m2 = mean
-    x00, x01, x02, x11, x12, x22 = fixed
-    # D = P_k - P, P_k the prediction from the posterior covariance `cov`
+    # P_k, the prediction from the posterior covariance `cov`
     r01 = p01 + a * p11 + b * p12
     r02 = p02 + a * p12 + b * p22
     r12 = p12 + a * p22
-    d00 = e2 * (p00 + a * (p01 + r01) + b * (p02 + r02)) + q00 - x00
-    d01 = e2 * (r01 + a * r02) + q01 - x01
-    d02 = e2 * r02 + q02 - x02
-    d11 = e2 * (p11 + a * (p12 + r12)) + q11 - x11
-    d12 = e2 * r12 + q12 - x12
-    d22 = e2 * p22 + q22 - x22
+    predicted = (e2 * (p00 + a * (p01 + r01) + b * (p02 + r02)) + q00,
+                 e2 * (r01 + a * r02) + q01, e2 * r02 + q02,
+                 e2 * (p11 + a * (p12 + r12)) + q11, e2 * r12 + q12, e2 * p22 + q22)
+    x00, x01, x02 = (predicted if fixed is None else fixed)[:3]
     s = x00 + r
     # U g, and the band of I - Phi: entry (3t + i, 3(t - 1) + j) is -Phi_ij
     u0 = (x00 + a * x01 + b * x02) / s
@@ -822,18 +782,24 @@ def _handover_tail(y, row, r, fixed, mean, cov):
     band[:] = ((0.0, 0.0, 0.0, e * (u0 - 1.0), e * u1, e * u2),
                (0.0, 0.0, -e * a, -e, 0.0, 0.0),
                (0.0, -e * b, -e * a, -e, 0.0, 0.0))
-    rhs = np.zeros((4, n, 3), dtype=complex)
+    sides = 1 if fixed is None else 4
+    rhs = np.zeros((sides, n, 3), dtype=complex)
     rhs[0, 0] = (e * (m0 + a * m1 + b * m2), e * (m1 + a * m2), e * m2)
     np.multiply(y[:-1, None], (e * u0, e * u1, e * u2), out=rhs[0, 1:])
-    rhs[1, 0, 0] = rhs[2, 0, 1] = rhs[3, 0, 2] = 1.0
-    x, _ = lapack.ztbtrs(band.reshape(3 * n, 6).T, rhs.reshape(4, 3 * n).T, uplo="L", diag="U")
+    if fixed is not None:
+        rhs[1, 0, 0] = rhs[2, 0, 1] = rhs[3, 0, 2] = 1.0
+    x, _ = lapack.ztbtrs(band.reshape(3 * n, 6).T, rhs.reshape(sides, 3 * n).T,
+                         uplo="L", diag="U")
     w = x[::3]
     w[:, 0] = y - w[:, 0]
     # einsum, not a BLAS product: right after one, the next complex LAPACK
     # call can run many times slower on some x86 CPUs
     gram = np.einsum("ti,tj->ij", w, w).tolist()
+    if fixed is None:
+        return n * cmath.log(s), gram[0][0] / s
     ww, b0, b1, b2 = gram[0]
     (t00, t01, t02), (_, t11, t12), (_, _, t22) = (g[1:] for g in gram[1:])
+    d00, d01, d02, d11, d12, d22 = (pk - pf for pk, pf in zip(predicted, fixed))
     # M = S I + D H'H, and D b
     m00 = s + d00 * t00 + d01 * t01 + d02 * t02
     m01 = d00 * t01 + d01 * t11 + d02 * t12
@@ -867,12 +833,13 @@ def _matern_nll_and_grad(log_params, t, y):
     ridge: the filter's noise variance is sigma_n^2 + JITTER_INITIAL *
     (sigma_f^2 + sigma_n^2), which is the ridge the dense path adds to
     diag V. One transition is built per distinct gap, so a regular grid
-    needs one, and the filter hands the run of equal gaps that ends the
-    series to a steady-state solve once it has settled, or to the exact
-    handover if it has not settled after `_HANDOVER_STEPS` steps. The
-    sigma_l and sigma_n entries of the gradient are complex steps through
-    the same filter; the sigma_f entry follows from scaling both sigma_f
-    and sigma_n, which scales V: g_f + g_n = n - y' V^-1 y.
+    needs one, and the filter hands the rest of the run of equal gaps that
+    ends the series to one steady-state solve once it has settled, or, with
+    the stationary covariance, if it has not settled after
+    `_HANDOVER_STEPS` steps. The sigma_l and sigma_n entries of the
+    gradient are complex steps through the same filter; the sigma_f entry
+    follows from scaling both sigma_f and sigma_n, which scales V:
+    g_f + g_n = n - y' V^-1 y.
     Raises NumericalError on a non-positive innovation variance or a
     non-finite result.
     """
@@ -926,9 +893,10 @@ def fit_hyperparameters(data, config=None):
     the lowest restart index, so the result does not depend on evaluation
     order. The series is assumed centered (normalize first).
 
-    Raises DataError for series shorter than MIN_FIT_POINTS. If every
-    restart fails outright, the best initialization is returned and a
-    FitWarning is issued.
+    Raises DataError for series shorter than MIN_FIT_POINTS, and
+    NumericalError when the likelihood is finite at no point the fit
+    reached. If every restart fails outright, the best initialization is
+    returned and a FitWarning is issued.
     """
     config = config or FitConfig()
     if len(data) < MIN_FIT_POINTS:
@@ -942,18 +910,22 @@ def fit_hyperparameters(data, config=None):
     rng = np.random.default_rng(config.seed)
     # One moment-based start ahead of the random restarts: the marginal
     # likelihood is multimodal and log-uniform draws alone can strand every
-    # restart in the explain-it-all-as-noise basin.
-    y_scale = float(y.std(ddof=0)) or 1.0
+    # restart in the explain-it-all-as-noise basin. A spread past the float
+    # range (inf, or nan from inf - inf) clips to the upper bounds.
+    with np.errstate(over="ignore", invalid="ignore"):
+        y_scale = float(np.nan_to_num(y.std(ddof=0), nan=math.inf)) or 1.0
     spacing = float(np.median(np.diff(t))) if len(data) > 1 else 1.0
     moment_init = np.clip(np.log([y_scale, 3.0 * spacing, 0.1 * y_scale]), lo, hi)
     inits = np.vstack([moment_init,
                        lo + rng.uniform(size=(config.restarts, 3)) * (hi - lo)])
 
+    failure = 1e25  # the objective's value where the likelihood fails
+
     def objective(x):
         try:
             return _matern_nll_and_grad(x, t, y)
         except NumericalError:
-            return 1e25, np.zeros(3)
+            return failure, np.zeros(3)
 
     best_nll = math.inf
     best_x = None
@@ -978,6 +950,8 @@ def fit_hyperparameters(data, config=None):
         if init_nll < best_init_nll - 1e-12:
             best_init_nll = init_nll
             best_init_x = x0
+    if min(best_nll, best_init_nll) >= failure:
+        raise NumericalError("the likelihood is not finite at any point the fit reached")
     if best_nll > best_init_nll:
         warnings.warn("optimization failed to improve on its initializations; "
                       "returning the best initial point", FitWarning)

@@ -59,6 +59,18 @@ class TestFit:
             assert code == 3, (command, text)
             assert message in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_no_finite_likelihood_exits_4(self, capsys, tmp_path):
+        # values near 1e200 overflow every evaluation within the bounds, so no
+        # start has a likelihood to return; their spread overflows too
+        path = tmp_path / "huge.csv"
+        path.write_text("y\n" + "".join(f"{1e200 * (1.0 + 0.1 * math.sin(i))!r}\n"
+                                        for i in range(50)))
+        code, out, err = run_cli(capsys, "fit", str(path), "--column", "y", "--no-normalize")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: the likelihood is not finite") and err.count("\n") == 1
+
     def test_fit_config_file_controls_bounds(self, capsys, tmp_path, stream_csv):
         config_path = tmp_path / "fit.json"
         config_path.write_text(json.dumps({"sigma_n_bounds": [0.5, 10.0], "restarts": 1}))
@@ -490,6 +502,12 @@ MALFORMED_SETTINGS = {
     "bench-removed-original-scale": ("bench", json.dumps({**BENCH, "original_scale": False})),
     "bench-method-unknown-key": ("bench", json.dumps(
         {**BENCH, "methods": [{**BENCH["methods"][0], "train_sise": 5}]})),
+    # a key the method's kind never reads would be ignored
+    "bench-baseline-with-features": ("bench", json.dumps(
+        {**BENCH, "methods": [{"name": "b", "kind": "baseline", "train_size": 20,
+                               "features": SHORT_SCALE_FEATURES[:1]}]})),
+    "bench-fusion-with-train-size": ("bench", json.dumps(
+        {**BENCH, "methods": [{**BENCH["methods"][0], "train_size": 60}]})),
     "scenario-unknown-normalization": ("simulate", json.dumps(
         {**scenario_dict(), "normalization": "onlin"})),
     "bench-unknown-normalization": ("bench", json.dumps({**BENCH, "normalization": "onlin"})),

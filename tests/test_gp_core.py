@@ -341,34 +341,43 @@ DENSE_LOSES_DIGITS = (1e3, 1e3, 0.1)
 FITTED_LIKE = [(0.9, 4.2, 0.44), (0.89, 1.69, 0.46), (0.86, 8.98, 0.54)]
 
 
+def predicted_covariance(row, cov):
+    """Upper triangle of A P A' + Q: the prediction from the posterior
+    covariance `cov` (upper triangle) under the transition `row`."""
+    a, b, e, _, *q = row
+    A = e * np.array([[1.0, a, b], [0.0, 1.0, a], [0.0, 0.0, 1.0]])
+    P = np.zeros((3, 3), dtype=complex)
+    P[np.triu_indices(3)] = cov
+    P += np.triu(P, 1).T
+    return (A @ P @ A.T)[np.triu_indices(3)] + np.array(q)
+
+
 @pytest.fixture
 def tail_calls(monkeypatch):
-    """Records each call of the steady-state tail: the number of
-    observations it covers and the S and gains it was handed."""
+    """Records each call of the tail of the trailing run: the number of
+    observations it covers, whether it was handed a stationary covariance
+    (`handover`; a settled filter hands none), the S and gains of the
+    steady filter it runs, and its arguments."""
     calls = []
-    steady_tail = gp_core._steady_tail
+    run_tail = gp_core._run_tail
 
-    def spy(y, transition, s, gains, mean):
-        calls.append(SimpleNamespace(n=len(y), s=s, gains=gains))
-        return steady_tail(y, transition, s, gains, mean)
+    def spy(y, row, r, mean, cov, fixed=None):
+        P = predicted_covariance(row, cov) if fixed is None else np.array(fixed)
+        s = P[0] + r
+        calls.append(SimpleNamespace(n=len(y), handover=fixed is not None, s=s,
+                                     gains=tuple(P[:3] / s), args=(y, row, r, mean, cov)))
+        return run_tail(y, row, r, mean, cov, fixed)
 
-    monkeypatch.setattr(gp_core, "_steady_tail", spy)
+    monkeypatch.setattr(gp_core, "_run_tail", spy)
     return calls
 
 
-@pytest.fixture
-def handover_calls(monkeypatch):
-    """Records each handover to the steady-state filter: the number of
-    observations it covers and the stationary covariance it was handed."""
-    calls = []
-    handover_tail = gp_core._handover_tail
+def settled(calls):
+    return [call for call in calls if not call.handover]
 
-    def spy(y, row, r, fixed, mean, cov):
-        calls.append(SimpleNamespace(n=len(y), fixed=fixed))
-        return handover_tail(y, row, r, fixed, mean, cov)
 
-    monkeypatch.setattr(gp_core, "_handover_tail", spy)
-    return calls
+def handovers(calls):
+    return [call for call in calls if call.handover]
 
 
 def one_ulp_apart(t):
@@ -550,7 +559,8 @@ class TestStateSpaceLikelihood:
             for _ in range(3000):
                 P = A @ (P - np.outer(P[:, 0], P[0]) / (P[0, 0] + r)) @ A.T + Q
             expected = np.array([P[0, 0] + r, *(P[:, 0] / (P[0, 0] + r))])
-            got = np.array([tail_calls[0].s, *tail_calls[0].gains])
+            first = settled(tail_calls)[0]
+            got = np.array([first.s, *first.gains])
             np.testing.assert_allclose(got.real, expected.real, rtol=1e-13)
             np.testing.assert_allclose(got.imag, expected.imag, rtol=1e-13)
 
@@ -559,11 +569,11 @@ class TestStateSpaceLikelihood:
         x = np.log(FITTED_LIKE[0])
         y = rng.normal(size=n)
         _matern_nll_and_grad(x, np.arange(n, dtype=float), y)
-        assert len(tail_calls) == 2  # one per gradient pass
-        assert all(0 < call.n < n - 8 for call in tail_calls)
+        assert len(settled(tail_calls)) == 2  # one per gradient pass
+        assert all(0 < call.n < n - 8 for call in settled(tail_calls))
         tail_calls.clear()
         _matern_nll_and_grad(x, random_increasing_times(rng, n), y)
-        assert tail_calls == []
+        assert settled(tail_calls) == []
 
     def test_last_gap_one_ulp_apart_gets_no_tail(self, rng, tail_calls):
         n = 400
@@ -573,7 +583,7 @@ class TestStateSpaceLikelihood:
         x = np.log(FITTED_LIKE[0])
         y = rng.normal(size=n)
         nll, _ = _matern_nll_and_grad(x, t, y)
-        assert tail_calls == []
+        assert settled(tail_calls) == []
         assert abs(nll - dense_nll(x, t, y)) <= 1e-8 * n
 
     def test_irregular_head_then_regular_tail(self, rng, tail_calls):
@@ -585,7 +595,33 @@ class TestStateSpaceLikelihood:
             y = sample_prior(GPModel(Matern52(*triple[:2]), noise_std=triple[2]), t, rng)
             nll, _ = _matern_nll_and_grad(x, t, y)
             assert abs(nll - dense_nll(x, t, y)) <= 1e-8 * n, triple
-        assert tail_calls and all(call.n < 250 for call in tail_calls)
+        assert settled(tail_calls) and all(call.n < 250 for call in settled(tail_calls))
+
+    def test_settled_tail_equals_the_tail_given_its_covariance(self, rng, tail_calls,
+                                                              monkeypatch):
+        # A settled filter hands over no stationary covariance: the tail takes
+        # P from its prediction, so D = 0 and the unit states are not solved for.
+        n = 400
+        sides = []
+        ztbtrs = gp_core.lapack.ztbtrs
+
+        def solve(band, rhs, **kwargs):
+            sides.append(rhs.shape[1])
+            return ztbtrs(band, rhs, **kwargs)
+
+        monkeypatch.setattr(gp_core, "lapack", SimpleNamespace(ztbtrs=solve))
+        for triple in FITTED_LIKE:
+            tail_calls.clear()
+            _matern_nll_and_grad(np.log(triple), np.arange(n, dtype=float), rng.normal(size=n))
+            for call in settled(tail_calls):
+                y, row, r, mean, cov = call.args
+                got = gp_core._run_tail(y, row, r, mean, cov)
+                given = gp_core._run_tail(y, row, r, mean, cov,
+                                          tuple(predicted_covariance(row, cov)))
+                assert sides[-2:] == [1, 4]
+                for g, w in zip(got, given):
+                    np.testing.assert_allclose(g.real, w.real, rtol=1e-13)
+                    np.testing.assert_allclose(g.imag, w.imag, rtol=1e-13)
 
     def test_non_finite_value_in_the_tail_raises(self, rng):
         t = np.arange(400.0)
@@ -595,7 +631,7 @@ class TestStateSpaceLikelihood:
             _matern_nll_and_grad(np.log(FITTED_LIKE[0]), t, y)
 
     @pytest.mark.parametrize("n", [100, 400, 2000])
-    def test_handover_equals_the_full_filter(self, rng, n, handover_calls):
+    def test_handover_equals_the_full_filter(self, rng, n, tail_calls):
         t = np.arange(n, dtype=float)
         t_full = one_ulp_apart(t)
         for sl, sn in UNSETTLED:
@@ -605,9 +641,9 @@ class TestStateSpaceLikelihood:
             ref_nll, ref_grad = _matern_nll_and_grad(x, t_full, y)
             assert abs(nll - ref_nll) <= 1e-11 * n, (sl, sn)
             np.testing.assert_allclose(grad, ref_grad, rtol=1e-9, atol=1e-9)
-        assert len(handover_calls) == 2 * len(UNSETTLED)
+        assert len(handovers(tail_calls)) == 2 * len(UNSETTLED)
 
-    def test_handover_matches_dense(self, rng, handover_calls):
+    def test_handover_matches_dense(self, rng, tail_calls):
         n = 400
         t = np.arange(n, dtype=float)
         for sf, sl, sn in [(0.9, 100.0, 0.44), (1.5, 100.0, 0.1)]:
@@ -615,18 +651,18 @@ class TestStateSpaceLikelihood:
             y = sample_prior(GPModel(Matern52(sf, sl), noise_std=sn), t, rng)
             nll, _ = _matern_nll_and_grad(x, t, y)
             assert abs(nll - dense_nll(x, t, y)) <= 1e-8 * n, (sf, sl, sn)
-        assert len(handover_calls) == 4
+        assert len(handovers(tail_calls)) == 4
 
     @pytest.mark.parametrize("triple, run_steps", [
         ((1.0, 100.0, 0.3), 1),  # a length scale over 11 gaps: after the first step
         ((1.0, 11.0, 1.0), gp_core._HANDOVER_STEPS),  # unsettled after 72 steps
     ])
-    def test_handover_bounds_the_loop(self, rng, handover_calls, triple, run_steps):
+    def test_handover_bounds_the_loop(self, rng, tail_calls, triple, run_steps):
         # the first observation takes the start row, then each gradient pass
         # runs `run_steps` steps of the run before it hands over
         n = 400
         _matern_nll_and_grad(np.log(triple), np.arange(n, dtype=float), rng.normal(size=n))
-        assert [n - call.n for call in handover_calls] == [1 + run_steps] * 2
+        assert [n - call.n for call in handovers(tail_calls)] == [1 + run_steps] * 2
 
     def test_stationary_covariance_matches_the_riccati_iteration(self):
         sl, sn = 100.0, 0.3
@@ -638,22 +674,22 @@ class TestStateSpaceLikelihood:
         np.testing.assert_allclose(got.real, expected.real, rtol=1e-13)
         np.testing.assert_allclose(got.imag, expected.imag, rtol=1e-13)
 
-    def test_non_finite_value_after_the_handover_raises(self, rng, handover_calls):
+    def test_non_finite_value_after_the_handover_raises(self, rng, tail_calls):
         t = np.arange(400.0)
         y = rng.normal(size=400)
         y[350] = math.nan
         with pytest.raises(NumericalError, match="non-finite"):
             _matern_nll_and_grad(np.log([1.0, 100.0, 0.3]), t, y)
-        assert handover_calls
+        assert handovers(tail_calls)
 
     @pytest.mark.parametrize("sigma_l", [40.0, 120.0])
-    def test_fit_matches_the_full_filter(self, sigma_l, handover_calls):
+    def test_fit_matches_the_full_filter(self, sigma_l, tail_calls):
         from gptdf.data_io import generate_synthetic
 
         series = generate_synthetic(TemporalFeature(1.0, sigma_l, 0.3), 400, 11)
         config = FitConfig(restarts=2, seed=3)
         got = fit_hyperparameters(series, config)
-        assert handover_calls
+        assert handovers(tail_calls)
         ref = fit_hyperparameters(TimeSeries(one_ulp_apart(series.timestamps), series.values),
                                   config)
         for key, value in ref.as_dict().items():
@@ -757,6 +793,16 @@ class TestFitHyperparameters:
         chosen = np.log([feature.sigma_f, feature.sigma_l, feature.sigma_n])
         nlls = [dense_nll(x0, data.timestamps, data.values) for x0 in inits]
         np.testing.assert_allclose(chosen, inits[int(np.argmin(nlls))], rtol=1e-12)
+
+    def test_no_finite_likelihood_anywhere_raises(self, monkeypatch):
+        # every run stops at its start on the failure value: no start fitted
+        def failing(*args):
+            raise NumericalError("innovation variance not positive")
+
+        monkeypatch.setattr(gp_core, "_matern_nll_and_grad", failing)
+        with pytest.raises(NumericalError, match="not finite at any point"):
+            fit_hyperparameters(TimeSeries.from_values(np.sin(np.arange(30.0))),
+                                FitConfig(restarts=2))
 
     def test_no_evaluation_outside_the_optimizer(self, monkeypatch):
         from gptdf.data_io import generate_synthetic
