@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import dense_noisy
+from conftest import dense_noisy, expert_tolerance
 from gptdf import fusion, gp_core
 from gptdf.errors import DataError
 from gptdf.data_io import generate_synthetic
@@ -802,19 +802,6 @@ def step_streams(draw):
     y = rng.normal(0.0, 1.0, size)
     return (features, tau, draw(st.floats(0.05, 0.95)), draw(st.floats(-1.0, 1.0)),
             TimeSeries(t[:preload], y[:preload]), TimeSeries(t[preload:], y[preload:]))
-
-
-def expert_tolerance(feature, n):
-    """How far an expert's prediction from an n-point window may lie from the
-    dense reference: 1e-12, the `TestBatchedExperts` tolerance, or, when the
-    window may be worse conditioned than 1e3, 1e-15 times the bound
-    1 + n sigma_f^2 / sigma_n^2 on its condition number. At the upper
-    length-scale bound a window is all but rank one, and the inverse factors
-    the online loop carries lose about one more digit to the dense solve
-    (up to 1.8e-15 times the bound over 3,000 examples, against 2e-16
-    elsewhere), so the factor is 1e-14 there."""
-    kappa = 1.0 + n * feature.sigma_f ** 2 / feature.sigma_n ** 2
-    return max(1e-12, kappa * (1e-14 if feature.sigma_l == SIGMA_L_BOUNDS[1] else 1e-15))
 
 
 def assert_bitwise(actual, expected):
