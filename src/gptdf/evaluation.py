@@ -93,11 +93,11 @@ def _metrics_from_records(records, stream_length):
 
 def run_baseline_gp(stream, train_size, tau=fusion.DEFAULT_TAU, fit_config=None):
     """Train-then-predict baseline: fit the feature triple on the first
-    `train_size` points, then run the online loop with that one expert over
-    the remaining steps, its window seeded with the last `tau` prefix points.
+    `train_size` points, run the online loop with that one expert over the
+    whole stream from step zero, and report the steps from `train_size` on.
+    One expert keeps weight 1, so each predicts from the last `tau` points.
 
-    Returns (records, metrics). The first `train_size` steps have no
-    prediction, so the delay equals `train_size` by construction.
+    Returns (records, metrics); the delay equals `train_size` by construction.
     """
     n = len(stream)
     train_size = int(train_size)
@@ -107,10 +107,8 @@ def run_baseline_gp(stream, train_size, tau=fusion.DEFAULT_TAU, fit_config=None)
     if train_size >= n:
         raise DataError(f"training size {train_size} must be smaller than the stream ({n})")
     feature = gp_core.fit_hyperparameters(stream.head(train_size), fit_config)
-    state = fusion.ensemble_from_features([feature], tau=tau, window=stream.head(train_size))
-    state.step = train_size
-    tail = gp_core.TimeSeries(stream.timestamps[train_size:], stream.values[train_size:])
-    records = fusion.run_stream(state, tail)
+    state = fusion.ensemble_from_features([feature], tau=tau)
+    records = fusion.run_stream(state, stream)[train_size:]
     return records, _metrics_from_records(records, n)
 
 

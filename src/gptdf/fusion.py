@@ -16,14 +16,14 @@ import math
 import sys
 import warnings
 from collections import namedtuple
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import blas, lapack
 
 from . import gp_core
 from .errors import DataError
-from .gp_core import PredictiveDistribution, TimeSeries
+from .gp_core import PredictiveDistribution
 
 __all__ = [
     "EnsembleState",
@@ -189,15 +189,11 @@ class _Window:
 
     __slots__ = ("tau", "times", "values", "lo", "hi", "appends")
 
-    def __init__(self, tau, times=(), values=()):
-        n = min(len(times), tau)
+    def __init__(self, tau):
         self.tau = tau
-        self.times = np.empty(min(2 * tau, max(16, 2 * n)))
+        self.times = np.empty(min(2 * tau, 16))
         self.values = np.empty(self.times.size)
-        self.times[:n] = times[len(times) - n:]
-        self.values[:n] = values[len(values) - n:]
-        self.lo, self.hi = 0, n
-        self.appends = 0
+        self.lo = self.hi = self.appends = 0
 
     def append(self, t, y):
         if self.hi == self.times.size:
@@ -224,47 +220,38 @@ class EnsembleState:
     """Mutable state of the online loop: the experts, their weights, the
     forgetting parameter, and the sliding window of recent observations.
 
-    Single-writer: `gptdf_step` mutates the state in place. `weights` holds
-    the posterior model weights; `omega_hat` the flattened predictive weights
+    A state starts at step zero, before any data: uniform `weights`, their
+    flattened predictive weights `omega_hat`, and an empty window. From
+    there only `gptdf_step` advances it, in place (single-writer). `weights`
+    holds the posterior model weights; `omega_hat` the predictive weights
     that the next fusion will use. The models are fixed for the life of the
     state: their constants are read once, and the window cache depends on
-    the window alone. `window` preloads the window with the last `tau`
-    points of a TimeSeries; after that only `gptdf_step` appends to it, and
-    `window_times` and `window_values` read it, oldest first.
+    the window alone. `window_times` and `window_values` read the window,
+    oldest first.
     """
 
     models: list
-    weights: np.ndarray
-    omega_hat: np.ndarray
     alpha: float = DEFAULT_ALPHA
     tau: int = DEFAULT_TAU
-    window: InitVar[TimeSeries] = None
-    step: int = 0
+    weights: np.ndarray = field(init=False)
+    omega_hat: np.ndarray = field(init=False)
+    step: int = field(default=0, init=False)
     _window: _Window = field(default=None, init=False, repr=False, compare=False)
     _experts: _Experts = field(default=None, init=False, repr=False, compare=False)
     _window_cache: _WindowCache = field(default=None, init=False, repr=False, compare=False)
     _factors: _SlotFactors = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self, window):
+    def __post_init__(self):
         if len(self.models) < 1:
             raise ValueError("ensemble needs at least one model")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"forgetting parameter must lie in (0, 1), got {self.alpha}")
         if not 1 <= int(self.tau) <= sys.maxsize:  # window indices are ssize_t
             raise ValueError(f"window length must be >= 1 and <= {sys.maxsize}")
         self.alpha = float(self.alpha)
         self.tau = int(self.tau)
-        # copies: the first step hands `omega_hat` to its record
-        self.weights = np.array(self.weights, dtype=float)
-        self.omega_hat = np.array(self.omega_hat, dtype=float)
-        for name in ("weights", "omega_hat"):
-            w = getattr(self, name)
-            if w.shape != (len(self.models),) or np.any(w <= 0.0):
-                raise ValueError(f"{name} must be strictly positive, one per model")
-            if abs(w.sum() - 1.0) > 1e-12:
-                raise ValueError(f"{name} must sum to one")
-        self._window = (_Window(self.tau) if window is None
-                        else _Window(self.tau, window.timestamps, window.values))
+        self.weights = np.full(len(self.models), 1.0 / len(self.models))
+        # rejects an alpha outside (0, 1)
+        self.omega_hat = predictive_weights(self.weights, self.alpha)
+        self._window = _Window(self.tau)
         self._experts = _expert_constants(self.models)
 
     @property
@@ -276,19 +263,13 @@ class EnsembleState:
         return tuple(self._window.values[self._window.lo:self._window.hi].tolist())
 
 
-def ensemble_from_features(features, tau=DEFAULT_TAU, alpha=DEFAULT_ALPHA, mean=0.0,
-                           window=None):
-    """Build an ensemble of one expert per feature triple, starting from
-    uniform weights, its window preloaded from the TimeSeries `window`."""
+def ensemble_from_features(features, tau=DEFAULT_TAU, alpha=DEFAULT_ALPHA, mean=0.0):
+    """Build an ensemble of one expert per feature triple, each with prior
+    mean `mean`, at step zero (see `EnsembleState`)."""
     features = list(features)
     if not features:
         raise ValueError("ensemble needs at least one feature")
-    models = [f.to_model(mean) for f in features]
-    m = len(models)
-    weights = np.full(m, 1.0 / m)
-    return EnsembleState(models=models, weights=weights,
-                         omega_hat=predictive_weights(weights, alpha),
-                         alpha=alpha, tau=tau, window=window)
+    return EnsembleState(models=[f.to_model(mean) for f in features], alpha=alpha, tau=tau)
 
 
 def _inverse_factors(V):

@@ -16,7 +16,6 @@ from gptdf import fusion, gp_core
 from gptdf.errors import DataError
 from gptdf.data_io import generate_synthetic
 from gptdf.fusion import (
-    EnsembleState,
     WeightCollapseWarning,
     ensemble_from_features,
     fuse_predictions,
@@ -193,12 +192,6 @@ class TestEnsembleState:
     def test_needs_a_model(self):
         with pytest.raises(ValueError):
             ensemble_from_features([])
-
-    def test_invalid_weights_rejected(self):
-        models = [TemporalFeature(1, 1, 0.1).to_model()]
-        with pytest.raises(ValueError):
-            EnsembleState(models=models, weights=np.array([0.5]),
-                          omega_hat=np.array([0.5]))
 
     # window indices are C ssize_t: past that, a ValueError, not an OverflowError
     @pytest.mark.parametrize("tau", [0, sys.maxsize + 1])
@@ -550,7 +543,9 @@ class TestBatchedExperts:
 
     def test_variance_clamps_counted_like_dense(self, monkeypatch):
         window = TimeSeries(np.arange(10.0), np.linspace(-1.0, 1.0, 10))
-        state = ensemble_from_features(MIXED_FEATURES, tau=10, window=window)
+        state = ensemble_from_features(MIXED_FEATURES, tau=10)
+        for t, y in zip(window.timestamps.tolist(), window.values.tolist()):
+            gptdf_step(state, (t, y))
         # a prior variance below what the window explains drives every
         # expert's predictive variance negative, on both paths
         real_gains = fusion._window_gains
@@ -625,17 +620,6 @@ class TestBatchedExperts:
         for k in range(25, 40):
             checked_step(state, t[k], math.cos(t[k]))
         assert len(calls) == 0
-
-    def test_window_filled_by_hand(self, monkeypatch, rng):
-        tau = 15
-        t = jittered(tau + 10, rng)
-        # a window preloaded with points no step has seen: no factors carry to it
-        state = ensemble_from_features(MIXED_FEATURES, tau=tau,
-                                       window=TimeSeries(t[:tau], np.linspace(-1.0, 1.0, tau)))
-        calls = count_refactors(monkeypatch)
-        for k in range(tau, t.size):
-            checked_step(state, t[k], float(k % 3))
-        assert len(calls) == 1
 
     def test_window_of_one_point(self, monkeypatch, rng):
         stream = stream_on(jittered(30, rng))
@@ -775,9 +759,9 @@ SIGMA_N_FLOOR = gp_core.FitConfig().sigma_n_bounds[0]
 @st.composite
 def step_streams(draw):
     """A random online run: M experts, window length tau and forgetting
-    alpha; a time grid (regular, jittered, with gaps, or with near-duplicate
-    times); and how many of its leading points preload the window, as the
-    train-then-predict baseline seeds it, before the stepped points."""
+    alpha; and a stream on a time grid (regular, jittered, with gaps, or with
+    near-duplicate times) whose length often passes tau, as a baseline's
+    training prefix does before its reported steps."""
     m = draw(st.integers(1, 16))
     tau = draw(st.integers(1, 100))
     length_scales = st.one_of(st.sampled_from(SIGMA_L_BOUNDS), st.floats(0.3, 30.0))
@@ -785,11 +769,11 @@ def step_streams(draw):
     features = [TemporalFeature(draw(st.floats(0.3, 1.5)), draw(length_scales),
                                 draw(st.floats(SIGMA_N_FLOOR, 1.0))) for _ in range(m)]
     grid = draw(st.sampled_from(["regular", "jittered", "gaps", "near-duplicates"]))
-    preload = draw(st.sampled_from([0, 0, tau // 2, tau, tau + 7]))
+    prefix = draw(st.sampled_from([0, 0, tau // 2, tau, tau + 7]))
     n = draw(st.integers(1, 30))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     rng = np.random.default_rng(seed)
-    size = preload + n
+    size = prefix + n
     if grid == "regular":
         # a dyadic spacing keeps every offset exact, so full windows hit the cache
         t = draw(st.integers(-5, 5)) + draw(st.sampled_from([0.25, 0.5, 1.0, 2.0])) * np.arange(size)
@@ -800,8 +784,7 @@ def step_streams(draw):
     else:
         t = np.cumsum(np.where(rng.uniform(size=size) < 0.3, 1e-7, 1.0))
     y = rng.normal(0.0, 1.0, size)
-    return (features, tau, draw(st.floats(0.05, 0.95)), draw(st.floats(-1.0, 1.0)),
-            TimeSeries(t[:preload], y[:preload]), TimeSeries(t[preload:], y[preload:]))
+    return features, tau, draw(st.floats(0.05, 0.95)), draw(st.floats(-1.0, 1.0)), TimeSeries(t, y)
 
 
 def assert_bitwise(actual, expected):
@@ -819,9 +802,9 @@ class TestDifferentialStep:
     @settings(max_examples=40, deadline=None)
     @given(run=step_streams())
     def test_step_equals_reference(self, run):
-        features, tau, alpha, mean, preload, stream = run
+        features, tau, alpha, mean, stream = run
         m = len(features)
-        state = ensemble_from_features(features, tau=tau, alpha=alpha, mean=mean, window=preload)
+        state = ensemble_from_features(features, tau=tau, alpha=alpha, mean=mean)
         weights = np.full(m, 1.0 / m)
         omega_hat = predictive_weights(weights, alpha)
         assert_bitwise(state.omega_hat, omega_hat)
