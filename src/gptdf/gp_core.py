@@ -930,26 +930,30 @@ def fit_hyperparameters(data, config=None):
     best_nll = math.inf
     best_x = None
     failed_inits = []
-    for x0 in inits:
-        try:
-            res = sopt.minimize(objective, x0, jac=True, method="L-BFGS-B",
-                                bounds=list(zip(lo, hi)))
-        except _NUMERICAL_FAILURES:
-            failed_inits.append(x0)
-            continue
-        if res.fun < best_nll - 1e-12:
-            best_nll = res.fun
-            best_x = np.clip(res.x, lo, hi)
-
-    # L-BFGS-B never ends above its own start, so only the starting points
-    # of runs that raised can beat the best optimum.
     best_init_nll = math.inf
     best_init_x = None
-    for x0 in failed_inits:
-        init_nll, _ = objective(x0)
-        if init_nll < best_init_nll - 1e-12:
-            best_init_nll = init_nll
-            best_init_x = x0
+    # Values past about 1e305 overflow the filter's arithmetic; the result
+    # is then not finite, and the objective returns the failure value. The
+    # overflow is that failure, not a warning to print.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x0 in inits:
+            try:
+                res = sopt.minimize(objective, x0, jac=True, method="L-BFGS-B",
+                                    bounds=list(zip(lo, hi)))
+            except _NUMERICAL_FAILURES:
+                failed_inits.append(x0)
+                continue
+            if res.fun < best_nll - 1e-12:
+                best_nll = res.fun
+                best_x = np.clip(res.x, lo, hi)
+
+        # L-BFGS-B never ends above its own start, so only the starting
+        # points of runs that raised can beat the best optimum.
+        for x0 in failed_inits:
+            init_nll, _ = objective(x0)
+            if init_nll < best_init_nll - 1e-12:
+                best_init_nll = init_nll
+                best_init_x = x0
     if min(best_nll, best_init_nll) >= failure:
         raise NumericalError("the likelihood is not finite at any point the fit reached")
     if best_nll > best_init_nll:

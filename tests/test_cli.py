@@ -71,6 +71,21 @@ class TestFit:
         assert out == ""
         assert err.startswith("error: the likelihood is not finite") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("values", [
+        [1e306 * (1.0 + 0.1 * math.sin(i)) for i in range(50)],
+        [(-1.5e308, 1.5e308)[i % 2] for i in range(50)]], ids=["1e306", "1.5e308"])
+    def test_values_past_1e305_exit_4_without_a_warning(self, capsys, tmp_path, values):
+        # the filter's arithmetic overflows, which is the fit's failure: one
+        # error line, not a RuntimeWarning and not a traceback
+        path = tmp_path / "huge.csv"
+        path.write_text("y\n" + "".join(f"{v!r}\n" for v in values))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, "fit", str(path), "--column", "y", "--no-normalize")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: the likelihood is not finite") and err.count("\n") == 1
+
     def test_fit_config_file_controls_bounds(self, capsys, tmp_path, stream_csv):
         config_path = tmp_path / "fit.json"
         config_path.write_text(json.dumps({"sigma_n_bounds": [0.5, 10.0], "restarts": 1}))

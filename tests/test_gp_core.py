@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -803,6 +804,17 @@ class TestFitHyperparameters:
         with pytest.raises(NumericalError, match="not finite at any point"):
             fit_hyperparameters(TimeSeries.from_values(np.sin(np.arange(30.0))),
                                 FitConfig(restarts=2))
+
+    @pytest.mark.parametrize("values", [
+        [1e306 * (1.0 + 0.1 * math.sin(i)) for i in range(50)],
+        [(-1.5e308, 1.5e308)[i % 2] for i in range(50)]], ids=["1e306", "1.5e308"])
+    def test_values_past_1e305_raise_without_a_warning(self, values):
+        # they overflow the filter's arithmetic at every point within the
+        # bounds: that overflow is the failure, not a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalError, match="not finite at any point"):
+                fit_hyperparameters(TimeSeries.from_values(values), FitConfig(restarts=2))
 
     def test_no_evaluation_outside_the_optimizer(self, monkeypatch):
         from gptdf.data_io import generate_synthetic
