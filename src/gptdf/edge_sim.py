@@ -533,7 +533,6 @@ class TargetReport:
     model_ids: tuple
     records: list  # StepRecord per stream step
     metrics: dict
-    final_weights: tuple
     used_fallback: bool
 
 
@@ -578,8 +577,7 @@ def run_edge_node(local_data, role, channel, node_id, fitted_at=0, fit_config=No
         step_records = fusion.run_stream(state, prepared.series)
         metrics = evaluation._metrics_from_records(step_records, len(prepared.series))
         return TargetReport(node_id=node_id, model_ids=model_ids, records=step_records,
-                            metrics=metrics, final_weights=tuple(state.omega_hat),
-                            used_fallback=used_fallback)
+                            metrics=metrics, used_fallback=used_fallback)
     except GptdfError as exc:
         raise type(exc)(f"node {node_id}: {exc}") from exc
 

@@ -16,7 +16,7 @@ import math
 import sys
 import warnings
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import blas, lapack
@@ -157,27 +157,26 @@ def fuse_predictions(means, variances, omega_hat):
 # every hit reuses.
 _WindowCache = namedtuple("_WindowCache", "key gains variances clamps floored log_norm")
 
-# Per-state constants of the experts: means, as a vector and a column; output
-# and length scales as columns, which build the window covariance; the
-# columns -sqrt(5) / length scale and output scale squared / 3, which build
-# k*; noise and prior variances k(t, t); the noisy prior variance plus its
-# first ridge, and 1e-3 of the noisy prior variance, the d^2 floor of a
-# slide; and the post-update weight floor WEIGHT_FLOOR / M.
+# Per-state constants of the zero-mean experts: output and length scales as
+# columns, which build the window covariance; the columns -sqrt(5) / length
+# scale and output scale squared / 3, which build k*; noise and prior
+# variances k(t, t); the noisy prior variance plus its first ridge, and 1e-3
+# of the noisy prior variance, the d^2 floor of a slide; and the post-update
+# weight floor WEIGHT_FLOOR / M.
 _Experts = namedtuple(
-    "_Experts", "mean mean_col output_scale length_scale neg_rate sf2_3 noise_var prior ridged "
-    "d2_floor weight_floor")
+    "_Experts", "output_scale length_scale neg_rate sf2_3 noise_var prior ridged d2_floor "
+    "weight_floor")
 
 
-def _expert_constants(models):
-    mean = np.array([m.mean for m in models])
-    sf = np.array([m.kernel.output_scale for m in models])[:, None]
-    sl = np.array([m.kernel.length_scale for m in models])[:, None]
-    noise_var = np.array([m.noise_std for m in models]) ** 2
+def _expert_constants(features):
+    sf = np.array([f.sigma_f for f in features])[:, None]
+    sl = np.array([f.sigma_l for f in features])[:, None]
+    noise_var = np.array([f.sigma_n for f in features]) ** 2
     prior = sf[:, 0] ** 2
     diagonal = prior + noise_var
-    return _Experts(mean, mean[:, None], sf, sl, -gp_core.SQRT5 / sl, sf ** 2 / 3.0, noise_var,
-                    prior, (1.0 + gp_core.JITTER_INITIAL) * diagonal, 1e-3 * diagonal,
-                    WEIGHT_FLOOR / len(models))
+    return _Experts(sf, sl, -gp_core.SQRT5 / sl, sf ** 2 / 3.0, noise_var, prior,
+                    (1.0 + gp_core.JITTER_INITIAL) * diagonal, 1e-3 * diagonal,
+                    WEIGHT_FLOOR / len(features))
 
 
 class _Window:
@@ -215,44 +214,37 @@ class _Window:
         self.appends += 1
 
 
-@dataclass
 class EnsembleState:
-    """Mutable state of the online loop: the experts, their weights, the
-    forgetting parameter, and the sliding window of recent observations.
+    """Mutable state of the online loop: the feature triples of its
+    zero-mean experts, their weights, the forgetting parameter, and the
+    sliding window of recent observations.
 
     A state starts at step zero, before any data: uniform `weights`, their
     flattened predictive weights `omega_hat`, and an empty window. From
     there only `gptdf_step` advances it, in place (single-writer). `weights`
     holds the posterior model weights; `omega_hat` the predictive weights
-    that the next fusion will use. The models are fixed for the life of the
+    that the next fusion will use. The triples are fixed for the life of the
     state: their constants are read once, and the window cache depends on
     the window alone. `window_times` and `window_values` read the window,
     oldest first.
     """
 
-    models: list
-    alpha: float = DEFAULT_ALPHA
-    tau: int = DEFAULT_TAU
-    weights: np.ndarray = field(init=False)
-    omega_hat: np.ndarray = field(init=False)
-    step: int = field(default=0, init=False)
-    _window: _Window = field(default=None, init=False, repr=False, compare=False)
-    _experts: _Experts = field(default=None, init=False, repr=False, compare=False)
-    _window_cache: _WindowCache = field(default=None, init=False, repr=False, compare=False)
-    _factors: _SlotFactors = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if len(self.models) < 1:
-            raise ValueError("ensemble needs at least one model")
-        if not 1 <= int(self.tau) <= sys.maxsize:  # window indices are ssize_t
+    def __init__(self, features, alpha=DEFAULT_ALPHA, tau=DEFAULT_TAU):
+        self.features = list(features)
+        if not self.features:
+            raise ValueError("ensemble needs at least one feature")
+        if not 1 <= int(tau) <= sys.maxsize:  # window indices are ssize_t
             raise ValueError(f"window length must be >= 1 and <= {sys.maxsize}")
-        self.alpha = float(self.alpha)
-        self.tau = int(self.tau)
-        self.weights = np.full(len(self.models), 1.0 / len(self.models))
+        self.alpha = float(alpha)
+        self.tau = int(tau)
+        self.weights = np.full(len(self.features), 1.0 / len(self.features))
         # rejects an alpha outside (0, 1)
         self.omega_hat = predictive_weights(self.weights, self.alpha)
+        self.step = 0
         self._window = _Window(self.tau)
-        self._experts = _expert_constants(self.models)
+        self._experts = _expert_constants(self.features)
+        self._window_cache = None
+        self._factors = None
 
     @property
     def window_times(self):
@@ -263,13 +255,10 @@ class EnsembleState:
         return tuple(self._window.values[self._window.lo:self._window.hi].tolist())
 
 
-def ensemble_from_features(features, tau=DEFAULT_TAU, alpha=DEFAULT_ALPHA, mean=0.0):
-    """Build an ensemble of one expert per feature triple, each with prior
-    mean `mean`, at step zero (see `EnsembleState`)."""
-    features = list(features)
-    if not features:
-        raise ValueError("ensemble needs at least one feature")
-    return EnsembleState(models=[f.to_model(mean) for f in features], alpha=alpha, tau=tau)
+def ensemble_from_features(features, tau=DEFAULT_TAU, alpha=DEFAULT_ALPHA):
+    """Build an ensemble of one zero-mean expert per feature triple, at step
+    zero: `EnsembleState(features, alpha, tau)`."""
+    return EnsembleState(features, alpha=alpha, tau=tau)
 
 
 def _inverse_factors(V):
@@ -423,7 +412,7 @@ def _predictions(state, t_star):
     """Each expert's mean and predictive variance (clamped at zero) at
     `t_star` from the current window, the variances floored at
     VARIANCE_FLOOR, and log(2 pi v) of the floored ones (None for an empty
-    window, whose predictions are the priors).
+    window, whose predictions are the zero-mean priors).
 
     Everything but the means depends on the window only through its offsets
     t* - t_i, so it is cached under those offsets' bytes: on a regular grid
@@ -435,7 +424,7 @@ def _predictions(state, t_star):
     e = state._experts
     window = state._window
     if window.hi == window.lo:
-        return e.mean.copy(), e.prior.copy(), np.maximum(e.prior, VARIANCE_FLOOR), None
+        return np.zeros_like(e.prior), e.prior.copy(), np.maximum(e.prior, VARIANCE_FLOOR), None
     key = (t_star - window.times[window.lo:window.hi]).tobytes()
     cached = state._window_cache
     if cached is None or cached.key != key:
@@ -449,7 +438,7 @@ def _predictions(state, t_star):
     if cached.clamps:
         gp_core.diagnostics["variance_clamps"] += cached.clamps
     y = window.values[window.lo:window.hi]
-    means = e.mean + _sum(cached.gains * (y - e.mean_col), axis=1)
+    means = _sum(cached.gains * y, axis=1)
     return means, cached.variances.copy(), cached.floored, cached.log_norm
 
 
@@ -471,8 +460,9 @@ def fused_prediction(state, t_star):
     weights. Does not advance the state; it only refreshes the window cache
     and its inverse factors.
 
-    Each expert's prediction equals `gp_core.predict(model, window, t_star)`,
-    the dense single-model reference, computed for all experts at once.
+    Each expert's prediction equals `gp_core.predict(feature.to_model(),
+    window, t_star)`, the dense single-model reference, computed for all
+    experts at once.
     """
     means, variances, floored, _ = _predictions(state, t_star)
     return _fused(means, variances, floored, state.omega_hat.copy())

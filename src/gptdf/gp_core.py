@@ -220,8 +220,8 @@ class TemporalFeature:
         object.__setattr__(self, "sigma_l", _check_scale("sigma_l", self.sigma_l))
         object.__setattr__(self, "sigma_n", _check_scale("sigma_n", self.sigma_n, allow_zero=True))
 
-    def to_model(self, mean=0.0):
-        return GPModel(Matern52(self.sigma_f, self.sigma_l), self.sigma_n, mean)
+    def to_model(self):
+        return GPModel(Matern52(self.sigma_f, self.sigma_l), self.sigma_n)
 
     def as_dict(self):
         return {"sigma_f": self.sigma_f, "sigma_l": self.sigma_l, "sigma_n": self.sigma_n}

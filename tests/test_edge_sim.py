@@ -320,7 +320,7 @@ class TestNodeDrivers:
         stream = generate_synthetic(generator, 300, seed=2)
         report = run_edge_node(stream, "target", channel, "target",
                                tau=50, normalization="none")
-        weights = dict(zip(report.model_ids, report.final_weights))
+        weights = dict(zip(report.model_ids, report.records[-1].prediction.omega_hat))
         matching = {f"edge-{i:02d}" for i in range(len(SHORT_SCALE_FEATURES))}
         matching_mass = sum(w for mid, w in weights.items() if mid in matching)
         assert matching_mass > 0.5

@@ -402,7 +402,7 @@ def online_predictions(features, stream, tau):
     """Run the online loop; return each step's per-expert predictions, the
     number of gain-cache misses, and the number of steps whose window
     offsets differ from the previous step's."""
-    state = ensemble_from_features(features, tau=tau, mean=0.25)
+    state = ensemble_from_features(features, tau=tau)
     steps = []
     misses = changes = 0
     previous = None
@@ -415,7 +415,7 @@ def online_predictions(features, stream, tau):
         fused, state = gptdf_step(state, (t, y))
         misses += state._window_cache is not cache
         steps.append([pred for pred, _ in fused.per_model])
-    return state.models, steps, misses, changes
+    return dense_models(state), steps, misses, changes
 
 
 def assert_matches_dense(models, stream, tau, steps, checked=None):
@@ -443,6 +443,11 @@ def assert_fused_matches_dense(models, window, t_star, fused):
         assert pred.variance == pytest.approx(ref.variance, abs=1e-12)
 
 
+def dense_models(state):
+    """The dense reference model of each of the state's experts."""
+    return [f.to_model() for f in state.features]
+
+
 def current_window(state):
     return TimeSeries(np.array(state.window_times), np.array(state.window_values))
 
@@ -452,7 +457,7 @@ def checked_step(state, t, y):
     on the window it was made from."""
     window = current_window(state)
     fused, _ = gptdf_step(state, (t, y))
-    assert_fused_matches_dense(state.models, window, t, fused)
+    assert_fused_matches_dense(dense_models(state), window, t, fused)
 
 
 def count_refactors(monkeypatch):
@@ -561,7 +566,8 @@ class TestBatchedExperts:
         before = gp_core.diagnostics["variance_clamps"]
         fast = [fused_prediction(state, 10.0) for _ in range(2)]  # a miss, then a hit
         fast_clamps = gp_core.diagnostics["variance_clamps"] - before
-        dense = [[gp_core.predict(m, window, 10.0) for m in state.models] for _ in range(2)]
+        dense = [[gp_core.predict(m, window, 10.0) for m in dense_models(state)]
+                 for _ in range(2)]
         dense_clamps = gp_core.diagnostics["variance_clamps"] - before - fast_clamps
 
         assert fast_clamps == dense_clamps == 2 * len(MIXED_FEATURES)
@@ -610,12 +616,12 @@ class TestBatchedExperts:
         # the one the factors describe, and nothing is refactored.
         tau = 10
         t = jittered(40, rng)
-        state = ensemble_from_features(MIXED_FEATURES[::2], tau=tau, mean=0.25)
+        state = ensemble_from_features(MIXED_FEATURES[::2], tau=tau)
         for k in range(25):
             gptdf_step(state, (t[k], math.cos(t[k])))
         calls = count_refactors(monkeypatch)
         t_probe = t[25] - 0.3
-        assert_fused_matches_dense(state.models, current_window(state), t_probe,
+        assert_fused_matches_dense(dense_models(state), current_window(state), t_probe,
                                    fused_prediction(state, t_probe))
         for k in range(25, 40):
             checked_step(state, t[k], math.cos(t[k]))
@@ -657,7 +663,7 @@ def assert_inverse_factors(state, tol):
     factors = state._factors
     slots = window_slots(factors)
     free = np.setdiff1d(np.arange(factors.G.shape[1]), slots)
-    for model, G in zip(state.models, factors.G):
+    for model, G in zip(dense_models(state), factors.G):
         V = dense_noisy(model.kernel, factors.times[slots], model.noise_std,
                         gp_core.JITTER_INITIAL)
         P = np.linalg.inv(V)
@@ -688,7 +694,7 @@ class TestInverseFactors:
     def test_householder_sign_branches(self, monkeypatch, rng, nonnegative_pivot):
         tau = 10
         t = jittered(tau + 8, rng)
-        state = ensemble_from_features(MIXED_FEATURES[::4], tau=tau, mean=0.25)
+        state = ensemble_from_features(MIXED_FEATURES[::4], tau=tau)
         for k in range(tau + 2):
             gptdf_step(state, (t[k], math.cos(t[k])))
         # Negating the row of the oldest point's slot leaves G'G and the
@@ -747,7 +753,7 @@ class TestInverseFactors:
             window = current_window(state) if state.window_times else None
             fused, _ = gptdf_step(state, (t[k], math.sin(t[k] / 40.0)))
             if window is not None and k % 7 == 0:
-                ref = gp_core.predict(state.models[0], window, t[k])
+                ref = gp_core.predict(state.features[0].to_model(), window, t[k])
                 assert fused.means[0] == pytest.approx(ref.mean, abs=1e-5)
 
 
@@ -784,7 +790,7 @@ def step_streams(draw):
     else:
         t = np.cumsum(np.where(rng.uniform(size=size) < 0.3, 1e-7, 1.0))
     y = rng.normal(0.0, 1.0, size)
-    return features, tau, draw(st.floats(0.05, 0.95)), draw(st.floats(-1.0, 1.0)), TimeSeries(t, y)
+    return features, tau, draw(st.floats(0.05, 0.95)), TimeSeries(t, y)
 
 
 def assert_bitwise(actual, expected):
@@ -802,9 +808,9 @@ class TestDifferentialStep:
     @settings(max_examples=40, deadline=None)
     @given(run=step_streams())
     def test_step_equals_reference(self, run):
-        features, tau, alpha, mean, stream = run
+        features, tau, alpha, stream = run
         m = len(features)
-        state = ensemble_from_features(features, tau=tau, alpha=alpha, mean=mean)
+        state = ensemble_from_features(features, tau=tau, alpha=alpha)
         weights = np.full(m, 1.0 / m)
         omega_hat = predictive_weights(weights, alpha)
         assert_bitwise(state.omega_hat, omega_hat)
@@ -815,7 +821,7 @@ class TestDifferentialStep:
                 warnings.simplefilter("always")
                 fused, _ = gptdf_step(state, (t, y))
             clamps = gp_core.diagnostics["variance_clamps"] - before
-            dense = [gp_core.predict(model, window, t) for model in state.models]
+            dense = [gp_core.predict(model, window, t) for model in dense_models(state)]
             assert gp_core.diagnostics["variance_clamps"] - before - clamps == clamps
             for feature, (pred, _), ref in zip(features, fused.per_model, dense):
                 tol = expert_tolerance(feature, 0 if window is None else len(window))
