@@ -155,13 +155,12 @@ def decode_message(line):
 
 
 class CloudRegistry:
-    """Append-only, in-memory feature store. Reports are idempotent per
-    (source_id, fitted_at); queries see a consistent snapshot."""
+    """Append-only, in-memory feature store, in report order. Reports are
+    idempotent per (source_id, fitted_at); queries see a consistent snapshot."""
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._records = []
-        self._lines = {}  # record key -> its query-response line
+        self._store = {}  # record key -> (record, its query-response line)
 
     def report(self, record):
         try:
@@ -170,17 +169,16 @@ class CloudRegistry:
         except MALFORMED as exc:
             return Ack(False, f"invalid feature record: {exc}")
         with self._lock:
-            fresh = record.key not in self._lines
+            fresh = record.key not in self._store
             if fresh:
                 # records are frozen, so each one's reply line is encoded once
-                self._lines[record.key] = encode_message({**record.to_message(),
-                                                          "type": "response"})
-                self._records.append(record)
+                self._store[record.key] = (record, encode_message({**record.to_message(),
+                                                                   "type": "response"}))
         return Ack(True, "" if fresh else "duplicate")
 
     def query(self, query):
         with self._lock:
-            snapshot = list(self._records)
+            snapshot = [r for r, _ in self._store.values()]
         matches = [r for r in snapshot if r.source_id != query.requester_id]
         matches.sort(key=lambda r: (-r.fitted_at, r.source_id))
         if query.limit is not None:
@@ -189,7 +187,7 @@ class CloudRegistry:
 
     def response_line(self, record):
         """The wire line that answers a query with this stored record."""
-        return self._lines[record.key]
+        return self._store[record.key][1]
 
 
 def _status(accepted, reason=""):
@@ -264,13 +262,6 @@ class _Channel:
             return FeatureResponse(tuple(FeatureRecord.from_message(msg) for msg in replies))
         except MALFORMED as exc:
             raise ConfigError(f"malformed feature record in registry reply: {exc}") from exc
-
-    def bytes_by_node(self):
-        """Total wire bytes attributed to each node (both directions)."""
-        totals = {}
-        for _, node_id, line in self.traffic:
-            totals[node_id] = totals.get(node_id, 0) + len(line.encode("utf-8"))
-        return totals
 
 
 class InProcessChannel(_Channel):
@@ -452,7 +443,8 @@ class SocketChannel(_Channel):
                                  f"{SOCKET_TIMEOUT_S} s") from exc
         except OSError as exc:  # refused, reset, unreachable
             raise TransportError(f"registry at {self.address}: {exc}") from exc
-        return [reply for reply in raw.decode("utf-8").splitlines() if reply.strip()]
+        # a reply that is not UTF-8 fails in decode_message, as malformed
+        return [r for r in raw.decode("utf-8", errors="replace").splitlines() if r.strip()]
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +579,6 @@ class SimulationResult:
     scenario: Scenario
     feature_records: tuple
     target_report: object  # TargetReport or None when the target failed
-    bytes_by_node: dict
     traffic: tuple  # (direction, node_id, line)
     errors: tuple  # (node_id, message)
 
@@ -595,16 +586,22 @@ class SimulationResult:
     def ok(self):
         return not self.errors and self.target_report is not None
 
+    @property
+    def bytes_by_node(self):
+        """Total wire bytes of `traffic` per node (both directions)."""
+        totals = {}
+        for _, node_id, line in self.traffic:
+            totals[node_id] = totals.get(node_id, 0) + len(line.encode("utf-8"))
+        return totals
 
-def run_simulation(scenario, registry=None, channel=None):
-    """Execute all historical nodes, then the target node.
 
-    Node failures are collected instead of aborting; the result carries
-    whatever was produced plus the error list and full wire-traffic
-    accounting. Deterministic for a fixed scenario (synthetic node data
-    derives per-node seeds from the scenario seed)."""
-    registry = registry if registry is not None else CloudRegistry()
-    channel = channel if channel is not None else InProcessChannel(registry)
+def run_simulation(scenario, channel=None):
+    """Execute all historical nodes, then the target node, over `channel`
+    (by default in process to a new `CloudRegistry`). Node failures are
+    collected instead of aborting; the result carries whatever was produced,
+    the error list and every wire line. Deterministic for a fixed scenario
+    (synthetic node data derives per-node seeds from the scenario seed)."""
+    channel = channel if channel is not None else InProcessChannel(CloudRegistry())
     errors = []
     feature_records = []
 
@@ -636,6 +633,5 @@ def run_simulation(scenario, registry=None, channel=None):
     return SimulationResult(scenario=scenario,
                             feature_records=tuple(feature_records),
                             target_report=target_report,
-                            bytes_by_node=channel.bytes_by_node(),
                             traffic=tuple(channel.traffic),
                             errors=tuple(errors))

@@ -184,15 +184,15 @@ class _Window:
     so reading the window copies nothing. An append that finds the buffers
     full moves the window to their front, about once per `tau` appends; the
     buffers double, up to twice `tau`, as the window fills, so a long `tau`
-    costs memory only for the points seen. `appends` counts the appends."""
+    costs memory only for the points seen."""
 
-    __slots__ = ("tau", "times", "values", "lo", "hi", "appends")
+    __slots__ = ("tau", "times", "values", "lo", "hi")
 
     def __init__(self, tau):
         self.tau = tau
         self.times = np.empty(min(2 * tau, 16))
         self.values = np.empty(self.times.size)
-        self.lo = self.hi = self.appends = 0
+        self.lo = self.hi = 0
 
     def append(self, t, y):
         if self.hi == self.times.size:
@@ -211,7 +211,6 @@ class _Window:
         self.hi += 1
         if self.hi - self.lo > self.tau:
             self.lo += 1
-        self.appends += 1
 
 
 class EnsembleState:
@@ -226,10 +225,10 @@ class EnsembleState:
     that the next fusion will use. The triples are fixed for the life of the
     state: their constants are read once, and the window cache depends on
     the window alone. `window_times` and `window_values` read the window,
-    oldest first.
+    oldest first. Also named `ensemble_from_features`.
     """
 
-    def __init__(self, features, alpha=DEFAULT_ALPHA, tau=DEFAULT_TAU):
+    def __init__(self, features, tau=DEFAULT_TAU, alpha=DEFAULT_ALPHA):
         self.features = list(features)
         if not self.features:
             raise ValueError("ensemble needs at least one feature")
@@ -255,10 +254,7 @@ class EnsembleState:
         return tuple(self._window.values[self._window.lo:self._window.hi].tolist())
 
 
-def ensemble_from_features(features, tau=DEFAULT_TAU, alpha=DEFAULT_ALPHA):
-    """Build an ensemble of one zero-mean expert per feature triple, at step
-    zero: `EnsembleState(features, alpha, tau)`."""
-    return EnsembleState(features, alpha=alpha, tau=tau)
+ensemble_from_features = EnsembleState
 
 
 def _inverse_factors(V):
@@ -284,11 +280,11 @@ class _SlotFactors:
     tau + 1 as the window fills, so a long `tau` costs memory only for the
     points seen. `gains` (rows_j' G_j, in slot order over the leading slots
     the window spans) and `sq` (|rows_j|^2, rows_j = G_j k*_j) are the last
-    miss's; `appends` and `t_star` are the window's append count at that
-    miss and the time it predicted.
+    miss's; `step` and `t_star` are the state's step at that miss (each step
+    appends one point) and the time it predicted.
     """
 
-    __slots__ = ("G", "times", "first", "size", "gains", "sq", "appends", "t_star")
+    __slots__ = ("G", "times", "first", "size", "gains", "sq", "step", "t_star")
 
     def __init__(self, G, times, tau):
         m, n, _ = G.shape
@@ -299,11 +295,11 @@ class _SlotFactors:
         self.times[:n] = times
         self.first, self.size = 0, n
 
-    def slide(self, window, e):
-        """Move the factors in place to `window`, the last miss's window
-        followed by the t* that miss predicted and without its oldest point
-        if that point has left; True, with nothing written, for the last
-        miss's window itself (no append since); False, with nothing written,
+    def slide(self, window, step, e):
+        """Move the factors in place to `window` at `step`, the last miss's
+        window followed by the t* that miss predicted and without its oldest
+        point if that point has left; True, with nothing written, for the last
+        miss's window itself (no step since); False, with nothing written,
         for any other window or a nearly singular one.
 
         The appended point borders G_j with the row (-gains_j', 1) / d_j in a
@@ -315,9 +311,9 @@ class _SlotFactors:
         d_j^2 <= 1e-3 of the noisy prior variance marks a nearly singular
         window, where a slid factor drifts from the dense solution.
         """
-        if window.appends == self.appends:
+        if step == self.step:
             return True
-        if window.appends != self.appends + 1 or window.times[window.hi - 1] != self.t_star:
+        if step != self.step + 1 or window.times[window.hi - 1] != self.t_star:
             return False
         d2 = e.ridged - self.sq
         if not (d2 > e.d2_floor).all():
@@ -366,7 +362,7 @@ def _window_gains(state, t_star):
     gains rows_j' G_j from the window's inverse factors G_j. The factors of
     the last miss slide in place to the new window in O(M tau^2) when it is
     that window plus the point it predicted, and are used as they are when
-    no point has been appended since (`_SlotFactors.slide`); any
+    no step has been taken since (`_SlotFactors.slide`); any
     other miss factors each expert's window afresh with `_inverse_factors`,
     O(M tau^3), and carries the factors on only if every expert took the
     first ridge.
@@ -376,7 +372,7 @@ def _window_gains(state, t_star):
     factors = state._factors
     state._factors = None
     carried = True
-    if factors is None or not factors.slide(window, e):
+    if factors is None or not factors.slide(window, state.step, e):
         times = window.times[window.lo:window.hi]
         r = np.abs(times[:, None] - times[None, :])
         K = gp_core._matern52(e.output_scale[:, :, None], e.length_scale[:, :, None], r)
@@ -399,7 +395,7 @@ def _window_gains(state, t_star):
     sq = np.einsum("ij,ij->i", rows, rows)
     if carried:
         factors.gains, factors.sq = gains, sq
-        factors.appends, factors.t_star = window.appends, t_star
+        factors.step, factors.t_star = state.step, t_star
         state._factors = factors
     if end > span:  # the window wraps round the slots
         gains = np.concatenate((gains[:, first:], gains[:, :end - span]), axis=1)
@@ -539,10 +535,13 @@ def run_stream(state, series):
     first record is step 0, whose prediction is the prior fusion: no warm-up
     prefix goes unpredicted."""
     records = []
-    for t, y in zip(series.timestamps.tolist(), series.values.tolist()):
-        step = state.step
-        fused, state = gptdf_step(state, (t, y))
-        records.append(StepRecord(step=step, t=t, truth=y, prediction=fused))
+    # Values past the experts' arithmetic overflow to a weight collapse, which
+    # warns once; numpy's own overflow warnings would only precede it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, y in zip(series.timestamps.tolist(), series.values.tolist()):
+            step = state.step
+            fused, state = gptdf_step(state, (t, y))
+            records.append(StepRecord(step=step, t=t, truth=y, prediction=fused))
     return records
 
 

@@ -290,6 +290,20 @@ class TestSimulate:
         # partial results still produced
         assert (out_dir / "predictions.jsonl").exists()
 
+    def test_failed_target_exits_3_and_writes_errors(self, capsys, tmp_path):
+        scenario = scenario_dict()
+        scenario["target"] = {"csv": str(tmp_path / "missing.csv")}
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps(scenario))
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "simulate", str(scenario_path),
+                                 "--out-dir", str(out_dir))
+        assert code == 3
+        assert err.startswith("error: target: ") and err.count("\n") == 1
+        errors = json.loads((out_dir / "errors.json").read_text())
+        assert [e["node"] for e in errors] == ["target"]
+        assert not (out_dir / "predictions.jsonl").exists()
+
     def test_many_node_topology(self, capsys, tmp_path):
         # 18 historical nodes + 1 target: 19 node reports, one summary row
         scenario_path = tmp_path / "scenario.json"
@@ -521,6 +535,10 @@ MALFORMED_SETTINGS = {
     "bench-baseline-with-features": ("bench", json.dumps(
         {**BENCH, "methods": [{"name": "b", "kind": "baseline", "train_size": 20,
                                "features": SHORT_SCALE_FEATURES[:1]}]})),
+    "bench-fusion-without-features": ("bench", json.dumps(
+        {**BENCH, "methods": [{"name": "m", "kind": "fusion", "features": []}]})),
+    "bench-baseline-train-size-zero": ("bench", json.dumps(
+        {**BENCH, "methods": [{"name": "b", "kind": "baseline", "train_size": 0}]})),
     "bench-fusion-with-train-size": ("bench", json.dumps(
         {**BENCH, "methods": [{**BENCH["methods"][0], "train_size": 60}]})),
     "scenario-unknown-normalization": ("simulate", json.dumps(

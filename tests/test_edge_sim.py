@@ -205,6 +205,7 @@ class TestMessages:
                                       '{"type": "query"}', '{"type": "query", "source_id": 5}',
                                       '{"type": "query", "source_id": "t", '
                                       '"raw_values": [1, 2, 3]}',
+                                      json.dumps({**record().to_message(), "source_id": ""}),
                                       *HOSTILE_PARAMS, *LONG_REASON_PARAMS])
     def test_malformed_request_gets_one_rejected_line(self, line):
         replies = handle(CloudRegistry(), line)
@@ -261,6 +262,19 @@ class TestNodeDrivers:
         flat = TimeSeries.from_values(np.full(50, 3.0))
         with pytest.raises(DataError, match="node edge-09"):
             run_edge_node(flat, "historical", channel, "edge-09", fit_config=quick_fit())
+
+    @pytest.mark.parametrize("role, error, reason", [
+        ("historical", DataError, "registry rejected report: no reply"),
+        ("relay", ConfigError, "unknown node role 'relay'"),
+    ])
+    def test_node_failure_carries_id(self, role, error, reason):
+        class NoReply(edge_sim._Channel):
+            def _send(self, line):
+                return []
+
+        data = generate_synthetic(FEATURE, 50, 0)
+        with pytest.raises(error, match=f"^node edge-x: {re.escape(reason)}$"):
+            run_edge_node(data, role, NoReply(), "edge-x", fit_config=quick_fit())
 
     def test_target_single_model_collapses_to_windowed_gp(self):
         registry = CloudRegistry()
@@ -677,8 +691,7 @@ class TestSocketTransport:
         registry = CloudRegistry()
         server, thread, address = serve_registry(registry)
         try:
-            result = run_simulation(scenario, registry=registry,
-                                    channel=SocketChannel(address))
+            result = run_simulation(scenario, channel=SocketChannel(address))
         finally:
             server.shutdown()
             server.server_close()
@@ -734,6 +747,30 @@ class TestSocketTransport:
             with pytest.raises(TransportError, match="did not answer within 0.2 s"):
                 channel.report(record())
             assert time.perf_counter() - start < 5.0
+
+    def test_reply_that_is_not_utf8_is_malformed(self):
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(2)
+            listener.settimeout(5.0)
+
+            def reply_garbage():
+                for _ in range(2):
+                    conn, _ = listener.accept()
+                    with conn:
+                        while conn.recv(65536):
+                            pass
+                        conn.sendall(b"\xff\xfe not utf-8\n")
+
+            server = threading.Thread(target=reply_garbage, daemon=True)
+            server.start()
+            channel = SocketChannel(listener.getsockname())
+            with pytest.raises(ConfigError, match="malformed message"):
+                channel.query(FeatureQuery("target"))
+            with pytest.raises(ConfigError, match="malformed message"):
+                channel.report(record())
+            server.join(timeout=5.0)
+            assert not server.is_alive()
 
     def test_server_drops_a_client_that_never_sends(self, monkeypatch):
         monkeypatch.setattr(edge_sim, "SOCKET_TIMEOUT_S", 0.2)

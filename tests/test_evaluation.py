@@ -65,6 +65,8 @@ class TestMetrics:
             mae([0.0], [0.0, 1.0])
         with pytest.raises(ValueError, match="length mismatch"):
             mse([0.0, 1.0], [0.0])
+        with pytest.raises(ValueError, match="need at least one prediction"):
+            nll([], [])
 
     def test_perfect_predictions(self):
         assert mae([1.0, 2.0], [1.0, 2.0]) == 0.0

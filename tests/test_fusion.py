@@ -51,6 +51,8 @@ class TestPredictiveWeights:
             predictive_weights([0.5, 0.0, 0.5], 0.9)
         with pytest.raises(ValueError, match="degenerate weight"):
             predictive_weights([1.1, -0.1], 0.9)
+        with pytest.raises(ValueError, match="nonempty vector"):
+            predictive_weights([], 0.9)
 
     def test_alpha_range_enforced(self):
         for alpha in (0.0, 1.0, -0.5, 1.5):
@@ -93,6 +95,10 @@ class TestUpdateWeights:
     def test_negative_likelihood_rejected(self):
         with pytest.raises(ValueError):
             update_weights([0.5, 0.5], [1.0, -1.0])
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="vectors of equal length"):
+            update_weights([0.5, 0.5], [1.0])
 
     @settings(max_examples=80, deadline=None)
     @given(w=simplexes, alpha=st.floats(0.05, 0.95), seed=st.integers(0, 2**31))
@@ -220,6 +226,13 @@ class TestGptdfStep:
         with pytest.raises(ValueError, match="increase"):
             gptdf_step(state, (0.0, 0.2))
 
+    @pytest.mark.parametrize("obs", [(math.nan, 0.1), (0.0, math.inf)])
+    def test_non_finite_observation_rejected(self, obs):
+        state = ensemble_from_features([TemporalFeature(1, 1, 0.1)])
+        with pytest.raises(ValueError, match="observation must be finite"):
+            gptdf_step(state, obs)
+        assert state.step == 0
+
     def test_window_respects_tau(self):
         state = ensemble_from_features([TemporalFeature(1, 1, 0.1)], tau=5)
         for k in range(12):
@@ -306,6 +319,17 @@ class TestGptdfStep:
             fused, _ = gptdf_step(state, (2.0, 0.5))
         assert math.isfinite(fused.distribution.mean)
         assert np.isfinite(state.omega_hat).all()
+
+    def test_overflowing_stream_warns_only_of_the_collapse(self):
+        # numpy's overflow and invalid-value warnings would only precede the
+        # weight collapse that each such step already reports
+        state = ensemble_from_features([TemporalFeature(1.0, 2.0, 0.3),
+                                        TemporalFeature(0.5, 5.0, 0.2)], tau=10)
+        values = np.where(np.arange(60) % 2, -1e200, 1e200)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_stream(state, TimeSeries.from_values(values))
+        assert {type(w.message) for w in caught} == {WeightCollapseWarning}
 
     def test_overflowing_fused_prediction_raises_data_error(self):
         state = ensemble_from_features([TemporalFeature(1.0, 2.0, 0.3)], tau=10)

@@ -147,6 +147,11 @@ class TestCholeskyJitter:
         np.testing.assert_allclose(L @ L.T, V + factor * np.trace(V) / 2 * np.eye(2), atol=1e-15)
         assert _cholesky_with_jitter(np.eye(2))[1] == gp_core.JITTER_INITIAL
 
+    def test_zero_trace_takes_jitter_relative_to_one(self):
+        L, factor = _cholesky_with_jitter(np.zeros((2, 2)))
+        assert factor == gp_core.JITTER_INITIAL
+        np.testing.assert_allclose(L @ L.T, factor * np.eye(2), rtol=1e-15)
+
 
 class TestLogMarginalLikelihood:
     def test_scalar_standard_gaussian(self):
@@ -193,6 +198,11 @@ class TestPredict:
         pred = predict(shifted, TimeSeries([], []), -3.0)
         assert pred.mean == pytest.approx(1.2)
         assert pred.variance == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("mean", [math.nan, math.inf])
+    def test_non_finite_mean_rejected(self, mean):
+        with pytest.raises(ValueError, match="mean must be finite"):
+            GPModel(Matern52(1.0, 1.0), 0.1, mean)
 
     def test_noise_free_interpolation(self):
         model = GPModel(Matern52(1.0, 1.0), noise_std=0.0)
@@ -280,6 +290,10 @@ class TestSamplePrior:
         model = GPModel(Matern52(1.0, 1.0), 0.1)
         with pytest.raises(ValueError):
             sample_prior(model, [0.0, 0.0, 1.0], 0)
+
+    def test_no_times_rejected(self):
+        with pytest.raises(DataError, match="empty input locations"):
+            sample_prior(GPModel(Matern52(1.0, 1.0), 0.1), [], 0)
 
     def test_more_points_than_it_holds_rejected(self):
         model = GPModel(Matern52(1.0, 1.0), 0.1)
@@ -872,6 +886,8 @@ class TestTimeSeries:
             TimeSeries([0.0, 1.0], [1.0])
         with pytest.raises(ValueError):
             TimeSeries([0.0, 1.0], [1.0, math.nan])
+        with pytest.raises(ValueError, match="one-dimensional"):
+            TimeSeries([[0.0, 1.0]], [[1.0, 2.0]])
 
     def test_from_values(self):
         ts = TimeSeries.from_values([5.0, 6.0, 7.0])
