@@ -114,7 +114,7 @@ def generate(ctx, sigma_f, sigma_l, sigma_n, length, out):
 @click.option("--normalization", type=click.Choice(data_io.NORMALIZATION_MODES),
               default="online", show_default=True)
 @click.option("--out", type=click.Path(), default=None,
-              help="Write the prediction log here instead of stdout.")
+              help="Write the prediction log here; '-' or none means stdout.")
 def predict(stream_csv, features_path, column, tau, alpha, limit, normalization, out):
     """Run the online fusion loop over a CSV stream; emit the prediction log
     as line-delimited JSON."""
@@ -129,12 +129,8 @@ def predict(stream_csv, features_path, column, tau, alpha, limit, normalization,
     state = fusion.ensemble_from_features(features[:limit], tau=tau, alpha=alpha)
     prepared = data_io.prepare_stream(stream, normalization)
     records = fusion.run_stream(state, prepared.series)
-    target = open(out, "w", encoding="utf-8") if out else sys.stdout
-    try:
+    with click.open_file(out or "-", "w", encoding="utf-8") as target:
         fusion.write_prediction_log(records, target)
-    finally:
-        if out:
-            target.close()
 
 
 @cli.command()

@@ -17,7 +17,6 @@ import errno
 import json
 import selectors
 import socket
-import sys
 import threading
 import time
 import traceback
@@ -59,8 +58,6 @@ ENVELOPE_FIELDS = ("limit", "status", "reason")
 # The JSON type of each field of a query; `limit` is its only envelope extra
 _QUERY_KINDS = {"type": str, "source_id": str, "limit": (int, type(None))}
 
-MIN_REPORT_POINTS = gp_core.MIN_FIT_POINTS
-
 # Seconds a socket client waits to connect and for each read; also each server
 # connection's deadline, counted from accept, to read its request line and
 # write the whole reply.
@@ -88,8 +85,8 @@ class FeatureRecord:
     def __post_init__(self):
         if not self.source_id:
             raise ValueError("source_id must be nonempty")
-        if int(self.n_points) < MIN_REPORT_POINTS:
-            raise ValueError(f"n_points must be >= {MIN_REPORT_POINTS}, got {self.n_points}")
+        if int(self.n_points) < gp_core.MIN_FIT_POINTS:
+            raise ValueError(f"n_points must be >= {gp_core.MIN_FIT_POINTS}, got {self.n_points}")
         object.__setattr__(self, "n_points", int(self.n_points))
         object.__setattr__(self, "fitted_at", int(self.fitted_at))
 
@@ -156,18 +153,14 @@ def decode_message(line):
 
 class CloudRegistry:
     """Append-only, in-memory feature store, in report order. Reports are
-    idempotent per (source_id, fitted_at); queries see a consistent snapshot."""
+    idempotent per (source_id, fitted_at); queries see a consistent snapshot.
+    It takes parsed `FeatureRecord`s; `handle` parses the wire's reports."""
 
     def __init__(self):
         self._lock = threading.Lock()
         self._store = {}  # record key -> (record, its query-response line)
 
     def report(self, record):
-        try:
-            if not isinstance(record, FeatureRecord):
-                record = FeatureRecord.from_message(record)
-        except MALFORMED as exc:
-            return Ack(False, f"invalid feature record: {exc}")
         with self._lock:
             fresh = record.key not in self._store
             if fresh:
@@ -201,11 +194,13 @@ def handle(registry, request):
     """Serve one request against the registry; return the reply lines.
 
     `request` is what the transport received, str or bytes; only its first
-    line, cut at `MAX_LINE_BYTES` bytes, is read. A report gets one status
-    line. A query gets one line per matching record, or one rejected status
-    line when its `limit` is not a positive integer or it holds a mistyped
-    or unknown field. A line that is not a well-formed report or query is
-    rejected too, never raised: both transports answer every request here.
+    line, cut at `MAX_LINE_BYTES` bytes, is read, and it is parsed here,
+    report or query. A report gets one status line, rejected when it is not
+    a valid feature record. A query gets one line per matching record, or
+    one rejected status line when its `limit` is not a positive integer or
+    it holds a mistyped or unknown field. A line that is not a well-formed
+    report or query is rejected too, never raised: both transports answer
+    every request here.
     """
     if isinstance(request, str):
         request = request.encode("utf-8")
@@ -215,7 +210,11 @@ def handle(registry, request):
     except ConfigError as exc:
         return _status(False, str(exc))
     if msg["type"] == "report":
-        ack = registry.report(msg)
+        try:
+            record = FeatureRecord.from_message(msg)
+        except MALFORMED as exc:
+            return _status(False, f"invalid feature record: {exc}")
+        ack = registry.report(record)
         return _status(ack.accepted, ack.reason)
     if msg["type"] != "query" or "source_id" not in msg:
         return _status(False, f"not a report or query: {line!r}")
@@ -486,12 +485,7 @@ class Scenario:
             raise ConfigError("subset must be 'all' or a list of node ids")
         if self.subset != "all" and any(s not in ids for s in self.subset):
             raise ConfigError(f"subset {list(self.subset)} names a node outside {ids}")
-        if self.normalization not in data_io.NORMALIZATION_MODES:
-            raise ConfigError(f"unknown normalization mode {self.normalization!r}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not 1 <= int(self.tau) <= sys.maxsize:  # window indices are ssize_t
-            raise ConfigError(f"tau must be >= 1 and <= {sys.maxsize}, got {self.tau}")
+        evaluation.check_loop_settings(self.tau, self.alpha, self.normalization)
         if self.limit is not None and int(self.limit) < 1:
             raise ConfigError(f"limit must be >= 1, got {self.limit}")
         if int(self.seed) < 0:
@@ -504,9 +498,8 @@ class Scenario:
         def node(e):
             return NodeSpec(**read_settings(e, {"id": str, "data": dict}, "historical entry"))
         s = read_settings(d, {"historical": [node], "target": dict, "target_id": str,
-                              "tau": int, "alpha": float, "limit": (int, type(None)),
-                              "subset": (str, list), "normalization": str, "seed": int,
-                              "fit": FitConfig.from_dict}, "scenario")
+                              "limit": (int, type(None)), "subset": (str, list), "seed": int,
+                              **evaluation.LOOP_SETTING_KINDS}, "scenario")
         if "historical" in s:
             s["nodes"] = s.pop("historical")
         return cls(**s)
@@ -535,9 +528,10 @@ def run_edge_node(local_data, role, channel, node_id, fitted_at=0, fit_config=No
 
     role="historical": normalize the local archive, fit its feature triple,
     report it, and return the FeatureRecord. role="target": query for
-    features first, build the ensemble (falling back to a default prior
-    expert when the registry is empty), then run the online loop over the
-    local stream and return a TargetReport. Errors carry the node id.
+    features first, keep the `subset`'s records and then the `limit` most
+    recent of them, build the ensemble (falling back to a default prior
+    expert when none is left), then run the online loop over the local
+    stream and return a TargetReport. Errors carry the node id.
     """
     try:
         if role == "historical":
@@ -552,11 +546,13 @@ def run_edge_node(local_data, role, channel, node_id, fitted_at=0, fit_config=No
         if role != "target":
             raise ConfigError(f"unknown node role {role!r}")
 
-        response = channel.query(FeatureQuery(node_id, limit))
+        # the subset is chosen before `limit` caps it, so the cap cannot drop
+        # every node the subset names
+        response = channel.query(FeatureQuery(node_id, limit if subset == "all" else None))
         records = list(response.records)
         if subset != "all":
             wanted = set(subset)
-            records = [r for r in records if r.source_id in wanted]
+            records = [r for r in records if r.source_id in wanted][:limit]
         used_fallback = not records
         if used_fallback:
             features = [DEFAULT_PRIOR_FEATURE]

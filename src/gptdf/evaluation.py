@@ -34,6 +34,20 @@ __all__ = [
 ]
 
 SERIES_COLUMNS = ("step", "t", "y", "mean", "var", "lo", "hi")
+# The online-loop settings that a scenario and a benchmark config share, each
+# with the JSON kind of its value
+LOOP_SETTING_KINDS = {"tau": int, "alpha": float, "normalization": str,
+                      "fit": FitConfig.from_dict}
+
+
+def check_loop_settings(tau, alpha, normalization):
+    """Raise ConfigError when an online-loop setting is out of range."""
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
+    if not 1 <= int(tau) <= sys.maxsize:  # window indices are ssize_t
+        raise ConfigError(f"tau must be >= 1 and <= {sys.maxsize}, got {tau}")
+    if normalization not in data_io.NORMALIZATION_MODES:
+        raise ConfigError(f"unknown normalization mode {normalization!r}")
 
 
 def _check_lengths(a, b):
@@ -160,20 +174,14 @@ class BenchmarkConfig:
         names = [m.name for m in self.methods]
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate method names in {names}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not 1 <= int(self.tau) <= sys.maxsize:  # window indices are ssize_t
-            raise ConfigError(f"tau must be >= 1 and <= {sys.maxsize}, got {self.tau}")
-        if self.normalization not in data_io.NORMALIZATION_MODES:
-            raise ConfigError(f"unknown normalization mode {self.normalization!r}")
+        check_loop_settings(self.tau, self.alpha, self.normalization)
 
     @classmethod
     def from_dict(cls, d, fallback_seed=0):
         return cls(**read_settings(d, {
             "methods": [BenchmarkMethod.from_dict],
             "stream": lambda spec: data_io.resolve_data_spec(spec, fallback_seed),
-            "tau": int, "alpha": float, "normalization": str,
-            "fit": FitConfig.from_dict}, "benchmark config"))
+            **LOOP_SETTING_KINDS}, "benchmark config"))
 
 
 @dataclass(frozen=True)

@@ -296,8 +296,6 @@ def sample_prior(model, ts, seed):
     given strictly increasing time points, at most MAX_SAMPLE_POINTS of them.
     Deterministic per seed; a numpy Generator is also accepted."""
     t = np.atleast_1d(np.asarray(ts, dtype=float))
-    if t.size == 0:
-        raise DataError("empty input locations")
     if t.size > MAX_SAMPLE_POINTS:
         raise DataError(f"cannot sample {t.size} points: at most {MAX_SAMPLE_POINTS}")
     if t.size > 1 and not np.all(np.diff(t) > 0.0):

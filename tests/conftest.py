@@ -1,8 +1,9 @@
 """Shared fixtures and independent oracles.
 
 The dense oracles below deliberately use explicit matrix inversion and LU
-determinants (numpy.linalg) rather than the library's Cholesky path, so they
-can serve as independent references for prediction and likelihood values.
+determinants (numpy.linalg) rather than the library's Cholesky path, and
+this file's own Matern-5/2 kernel rather than the library's, so they can
+serve as independent references for prediction and likelihood values.
 `reference_online_run` goes further: it restates a whole online pathway from
 the paper's equations and the README's rules, and calls no library code.
 """
@@ -13,7 +14,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from gptdf.gp_core import FitConfig, eval_kernel
+from gptdf.gp_core import FitConfig
 
 LOG_2PI = math.log(2.0 * math.pi)
 DEMOS = pathlib.Path(__file__).resolve().parents[1] / "demos"
@@ -34,9 +35,15 @@ LONG_SCALE_FEATURES = [
 ]
 
 
+def dense_kernel(kernel, a, b):
+    """The kernel's covariance between two time points, by the reference formula."""
+    return float(reference_matern52(kernel.output_scale, kernel.length_scale,
+                                    float(a) - float(b)))
+
+
 def dense_kernel_matrix(kernel, ts_a, ts_b):
     """Entry-by-entry kernel matrix via scalar evaluations."""
-    return np.array([[eval_kernel(kernel, a, b) for b in ts_b] for a in ts_a])
+    return np.array([[dense_kernel(kernel, a, b) for b in ts_b] for a in ts_a])
 
 
 def dense_noisy(kernel, ts, noise_std, jitter_rel=0.0):
@@ -53,10 +60,10 @@ def dense_predict(model, train_t, train_y, t_star, jitter_rel=0.0):
     """Posterior mean/variance by explicit matrix inversion."""
     V = dense_noisy(model.kernel, train_t, model.noise_std, jitter_rel)
     V_inv = np.linalg.inv(V)
-    k_star = np.array([eval_kernel(model.kernel, t_star, t) for t in train_t])
+    k_star = np.array([dense_kernel(model.kernel, t_star, t) for t in train_t])
     resid = np.asarray(train_y, dtype=float) - model.mean
     mean = model.mean + k_star @ V_inv @ resid
-    var = eval_kernel(model.kernel, t_star, t_star) - k_star @ V_inv @ k_star
+    var = dense_kernel(model.kernel, t_star, t_star) - k_star @ V_inv @ k_star
     return float(mean), float(var)
 
 

@@ -190,6 +190,16 @@ class TestPredict:
         first = json.loads(out.strip().splitlines()[0])
         assert len(first["omega_hat"]) == 2
 
+    def test_out_file_or_dash_holds_the_stdout_log(self, capsys, tmp_path, stream_csv):
+        features_path = tmp_path / "features.json"
+        features_path.write_text(json.dumps(SHORT_SCALE_FEATURES))
+        args = ("predict", str(stream_csv), "--features", str(features_path), "--column", "y")
+        code, log, err = run_cli(capsys, *args)
+        assert code == 0 and log
+        assert run_cli(capsys, *args, "--out", "-") == (0, log, "")
+        assert run_cli(capsys, *args, "--out", str(tmp_path / "log.jsonl")) == (0, "", "")
+        assert (tmp_path / "log.jsonl").read_text(encoding="utf-8") == log
+
     def test_bad_features_exit_2_before_the_csv_is_read(self, capsys, tmp_path):
         features_path = tmp_path / "features.json"
         features_path.write_text(json.dumps([{"sigma_f": 1e200, "sigma_l": 1.0, "sigma_n": 0.1}]))

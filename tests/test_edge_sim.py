@@ -114,9 +114,10 @@ class TestRegistry:
                          ("sigma_f", 1e200), ("sigma_l", 1e-320)):
             msg = record().to_message()
             msg[key] = bad
-            ack = registry.report(msg)
-            assert not ack.accepted
-            assert key in ack.reason
+            reply = json.loads(handle(registry, json.dumps(msg))[0])
+            assert reply["status"] == "rejected"
+            assert reply["reason"].startswith("invalid feature record: ")
+            assert key in reply["reason"]
         assert len(registry.query(FeatureQuery("target"))) == 0
 
     def test_limit_and_recency_order(self):
@@ -141,7 +142,7 @@ class TestRegistry:
     def test_reply_line_encoded_when_stored(self):
         registry = CloudRegistry()
         registry.report(record(source="edge-00"))
-        registry.report(record(source="edge-01", fitted_at=1).to_message())
+        handle(registry, json.dumps(record(source="edge-01", fitted_at=1).to_message()))
         stored = registry.query(FeatureQuery("target")).records
         assert len(stored) == 2
         for r in stored:
@@ -309,6 +310,21 @@ class TestNodeDrivers:
         report = run_edge_node(stream, "target", channel, "target",
                                subset=["edge-01", "edge-04"])
         assert sorted(report.model_ids) == ["edge-01", "edge-04"]
+
+    def test_target_subset_chosen_before_limit(self):
+        # capping the query first would keep only edge-05, outside the subset,
+        # and leave the target on the default prior
+        registry = CloudRegistry()
+        channel = InProcessChannel(registry)
+        for i in range(6):
+            registry.report(record(source=f"edge-{i:02d}", fitted_at=i))
+        stream = generate_synthetic(FEATURE, 25, 6)
+        report = run_edge_node(stream, "target", channel, "target", limit=1, subset=["edge-01"])
+        assert report.model_ids == ("edge-01",) and not report.used_fallback
+        # the cap then keeps the most recent of the subset's records
+        report = run_edge_node(stream, "target", channel, "target", limit=1,
+                               subset=["edge-01", "edge-04"])
+        assert report.model_ids == ("edge-04",)
 
     def test_target_limit(self):
         registry = CloudRegistry()
