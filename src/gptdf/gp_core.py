@@ -1,12 +1,13 @@
 """Gaussian-process core: the Matern-5/2 kernel, covariance construction, exact prediction,
 marginal likelihood, hyperparameter fitting, and prior sampling.
 
-Inputs are scalar times. Prediction, sampling and `log_marginal_likelihood`
-factor the dense covariance through a single jittered Cholesky helper.
-Fitting never forms a covariance matrix: its objective is the same
-likelihood computed by a Kalman filter over the state-space form of
-Matern-5/2, O(n) per evaluation, with a complex-step gradient. It runs
-multi-start L-BFGS-B in log-parameter space.
+Inputs are scalar times. Prediction and `log_marginal_likelihood` factor
+the dense covariance through a single jittered Cholesky helper. Fitting
+and sampling never form a covariance matrix: both run a Kalman filter
+over the state-space form of Matern-5/2, O(n). The fit's objective is the
+same likelihood with a complex-step gradient, minimized by multi-start
+L-BFGS-B in log-parameter space; the sampler draws each value from the
+filter's prediction, which reproduces the dense draw of the same seed.
 """
 
 from __future__ import annotations
@@ -286,23 +287,83 @@ def predict(model, train, t_star):
     return PredictiveDistribution(mean, variance)
 
 
-# The dense sampler holds about five n x n matrices at once: 1 GB at 5,000
-# points and 2.8 GB at this bound. A longer draw is refused before any work.
-MAX_SAMPLE_POINTS = 8192
+# 2**17 points: a year of 5-minute samples (105,120) fits, and a draw of
+# this many takes about 0.15 s on one x86-64 core. A longer draw is refused
+# before any work.
+MAX_SAMPLE_POINTS = 131072
 
 
 def sample_prior(model, ts, seed):
-    """One draw from the model's prior (including observation noise) at the
-    given strictly increasing time points, at most MAX_SAMPLE_POINTS of them.
-    Deterministic per seed; a numpy Generator is also accepted."""
+    """One draw from the Matern-5/2 model's prior (including observation
+    noise) at the given strictly increasing time points, at most
+    MAX_SAMPLE_POINTS of them. Deterministic per seed; a numpy Generator is
+    also accepted, and the draw takes its next n standard normals.
+
+    O(n): a Kalman filter over the state-space form of Matern-5/2 (see
+    `_kalman_terms`) predicts each noisy value from the draws before it,
+    mean m_k and variance S_k, and sets y_k = m_k + sqrt(S_k) z_k. That is
+    row k of L z, L the lower Cholesky factor of the noisy covariance with
+    the first-attempt ridge JITTER_INITIAL * (sigma_f^2 + sigma_n^2) on its
+    diagonal, so a seed gives the dense draw L z to rounding.
+    Raises NumericalError on a non-positive S_k.
+    """
     t = np.atleast_1d(np.asarray(ts, dtype=float))
+    if t.size == 0:
+        raise DataError("empty input locations")
     if t.size > MAX_SAMPLE_POINTS:
         raise DataError(f"cannot sample {t.size} points: at most {MAX_SAMPLE_POINTS}")
-    if t.size > 1 and not np.all(np.diff(t) > 0.0):
+    if not np.isfinite(t).all():
+        raise ValueError("timestamps must be finite")
+    diffs = np.diff(t)
+    if not np.all(diffs > 0.0):
         raise ValueError("timestamps must be strictly increasing")
-    L = _noisy_factor(model, t)
+    sf, sl = model.kernel.output_scale, model.kernel.length_scale
+    sf2, sn2 = sf * sf, model.noise_std ** 2
+    # the filter runs at unit output scale; r is the noise plus the dense ridge
+    r = (sn2 + JITTER_INITIAL * (sf2 + sn2)) / sf2
+    slots = {}
+    index = [slots.setdefault(d, len(slots)) for d in diffs.tolist()]
+    unique = _transition_rows(SQRT5 / sl * np.array(list(slots))).real.tolist()
+    rows = [_SDE_START] + [unique[i] for i in index]
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return model.mean + L @ rng.standard_normal(t.size)
+    sqrt = math.sqrt
+    m0 = m1 = m2 = 0.0
+    p00 = p01 = p02 = p11 = p12 = p22 = 0.0
+    draw = []
+    for zk, (a, b, e, e2, q00, q01, q02, q11, q12, q22) in zip(
+            rng.standard_normal(t.size).tolist(), rows):
+        # predict, as in `_kalman_terms`
+        m0 = e * (m0 + a * m1 + b * m2)
+        m1 = e * (m1 + a * m2)
+        m2 = e * m2
+        r01 = p01 + a * p11 + b * p12
+        r02 = p02 + a * p12 + b * p22
+        r12 = p12 + a * p22
+        p00 = e2 * (p00 + a * (p01 + r01) + b * (p02 + r02)) + q00
+        p01 = e2 * (r01 + a * r02) + q01
+        p02 = e2 * r02 + q02
+        p11 = e2 * (p11 + a * (p12 + r12)) + q11
+        p12 = e2 * r12 + q12
+        p22 = e2 * p22 + q22
+        s = p00 + r
+        if not s > 0.0:
+            raise NumericalError("innovation variance not positive")
+        # draw the innovation, then update on it
+        v = sqrt(s) * zk
+        draw.append(m0 + v)
+        k0 = p00 / s
+        k1 = p01 / s
+        k2 = p02 / s
+        m0 += k0 * v
+        m1 += k1 * v
+        m2 += k2 * v
+        p22 -= k2 * p02
+        p12 -= k1 * p02
+        p11 -= k1 * p01
+        p02 -= k0 * p02
+        p01 -= k0 * p01
+        p00 -= k0 * p00
+    return model.mean + sf * np.array(draw)
 
 
 # ---------------------------------------------------------------------------

@@ -299,6 +299,17 @@ class TestGenerateSynthetic:
             hits += 0.5 * 2.0752 <= refit.sigma_l <= 1.5 * 2.0752
         assert hits >= 2
 
+    def test_long_draw_allocates_no_matrix(self):
+        n = 20_000  # a dense covariance alone would take 3.2 GB
+        tracemalloc.start()
+        try:
+            series = generate_synthetic(TemporalFeature(0.8, 2.0, 0.1), n, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(series) == n and np.isfinite(series.values).all()
+        assert peak < 16e6
+
     def test_bad_length(self):
         with pytest.raises(ValueError):
             generate_synthetic(TemporalFeature(1, 1, 0.1), 0, 0)

@@ -39,7 +39,9 @@ from gptdf.gp_core import (
 from conftest import (
     dense_log_marginal_likelihood,
     dense_predict,
+    dense_sample_prior,
     random_increasing_times,
+    reference_matern52,
 )
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -299,6 +301,42 @@ class TestSamplePrior:
         model = GPModel(Matern52(1.0, 1.0), 0.1)
         with pytest.raises(DataError, match=f"at most {gp_core.MAX_SAMPLE_POINTS}"):
             sample_prior(model, np.arange(gp_core.MAX_SAMPLE_POINTS + 1.0), 0)
+
+    @pytest.mark.parametrize("ts", [[math.nan], [math.inf], [0.0, math.inf],
+                                    [0.0, math.nan, 2.0]])
+    def test_non_finite_times_rejected(self, ts):
+        with pytest.raises(ValueError, match="timestamps must be finite"):
+            sample_prior(GPModel(Matern52(1.0, 1.0), 0.1), ts, 0)
+
+    @pytest.mark.parametrize("jittered", [False, True])
+    def test_matches_dense_draw(self, jittered):
+        # the benchmark's scales: sigma_f 1, sigma_l 1.5 and 10, sigma_n 0
+        # and 0.5, on its unit grid and its jittered gaps in [0.55, 1.45];
+        # and noise-free sigma_l 1e3, a matrix that only the ridge keeps
+        # positive definite
+        rng = np.random.default_rng(11)
+        t = np.cumsum(1.0 + rng.uniform(-0.45, 0.45, 400)) if jittered else np.arange(400.0)
+        cases = [(sl, sn, 1e-12) for sl in (1.5, 10.0) for sn in (0.0, 0.5)]
+        for seed, (sl, sn, bound) in enumerate(cases + [(1e3, 0.0, 1e-5)]):
+            model = GPModel(Matern52(1.0, sl), sn)
+            ours, dense = np.random.default_rng(seed), np.random.default_rng(seed)
+            y = sample_prior(model, t, ours)
+            assert np.abs(y - dense_sample_prior(model, t, dense)).max() <= bound * np.abs(y).max()
+            # both leave the Generator at the same stream position
+            assert ours.standard_normal() == dense.standard_normal()
+
+    def test_empirical_covariance(self):
+        # 4,000 draws per case; each sample second moment may lie five
+        # standard errors, sqrt((K_ii K_jj + K_ij^2) / N), from K
+        draws = 4000
+        rng = np.random.default_rng(2)
+        for t in (np.arange(12.0), np.cumsum(1.0 + rng.uniform(-0.45, 0.45, 12))):
+            for sl in (1e-3, 1.0, 1e3):
+                model = GPModel(Matern52(1.0, sl), 0.1)
+                K = reference_matern52(1.0, sl, t[:, None] - t[None, :]) + 0.01 * np.eye(12)
+                y = np.array([sample_prior(model, t, rng) for _ in range(draws)])
+                se = np.sqrt((np.outer(np.diag(K), np.diag(K)) + K * K) / draws)
+                assert np.all(np.abs(y.T @ y / draws - K) <= 5.0 * se)
 
 
 class TestGradient:
